@@ -12,8 +12,8 @@ slack) two ways:
 * ``batched``     — one ``PowerCapBalancer.cap_sweep_trace`` call.
 
 Both sides re-record their per-trace caches each round, produce
-byte-identical ``to_json()`` payloads once the batched side's power
-sections are stripped (the scalar loop prices assignments only), and
+byte-identical ``to_json()`` payloads, power sections included (every
+path attaches them where the report is built), and
 the batched pass must be ≥ 3× faster — the acceptance criterion
 recorded in ``benchmarks/baselines/powercap.json``.  Runs standalone
 in CI smoke mode (``--benchmark-disable``) via the ``_timed``
@@ -75,13 +75,8 @@ def _fresh(trace):
 
 
 def _payloads(reports):
-    """Sorted-key dumps with the power section stripped (the scalar
-    loop prices bare assignments; identity is on the priced report)."""
-    out = []
-    for r in reports:
-        body = {k: v for k, v in r.to_json().items() if k != "power"}
-        out.append(json.dumps(body, sort_keys=True))
-    return out
+    """Sorted-key dumps of every report, power section included."""
+    return [json.dumps(r.to_json(), sort_keys=True) for r in reports]
 
 
 def _timed(label: str, fn):

@@ -12,12 +12,15 @@ For one application (or recorded trace) the
 4. replays the modified trace → new execution time;
 5. integrates CPU energy for both runs and reports normalized
    energy / time / EDP plus LB, PE and the over-clocked CPU fraction.
+
+It is the independent scalar reference; production pricing batches
+through :class:`~repro.core.batchbalance.BatchBalancePlanner`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, TYPE_CHECKING
+from dataclasses import dataclass, field, replace
+from typing import Any, NamedTuple, TYPE_CHECKING
 
 from repro.core.algorithms import (
     FrequencyAlgorithm,
@@ -34,7 +37,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.netsim.record import RunResult
     from repro.traces.trace import Trace
 
-__all__ = ["BalanceReport", "PowerAwareLoadBalancer", "nominal_replay"]
+__all__ = [
+    "BalanceReport",
+    "Baseline",
+    "PowerAwareLoadBalancer",
+    "des_engine",
+    "nominal_replay",
+    "priced_report",
+    "record_app",
+    "trace_baseline",
+]
 
 
 def nominal_replay(simulator: Any, trace: "Trace") -> "RunResult":
@@ -63,6 +75,27 @@ def nominal_replay(simulator: Any, trace: "Trace") -> "RunResult":
     result = simulator.run_trace(trace)
     cache.append((key, result))
     return result
+
+
+def des_engine(simulator: Any) -> Any:
+    """The DES behind a replay engine: recording and interval capture
+    cannot run on a compiled tape, whatever the engine selection."""
+    des = getattr(simulator, "des", simulator)
+    if des.name != "des":
+        from repro.netsim.simulator import MpiSimulator
+
+        des = MpiSimulator(simulator.platform, simulator.time_model)
+    return des
+
+
+def record_app(simulator: Any, app: Any) -> "Trace":
+    """Run an application skeleton once at nominal speed, recording."""
+    result = des_engine(simulator).run(
+        app.programs(), record_trace=True, meta={"name": app.name}
+    )
+    trace = result.trace
+    trace.meta.setdefault("nproc", trace.nproc)
+    return trace
 
 
 def _plain(value: Any) -> Any:
@@ -182,6 +215,77 @@ class BalanceReport:
         )
 
 
+class Baseline(NamedTuple):
+    """What every cell priced against one trace shares."""
+
+    compute_times: Any  # per-rank nominal compute seconds
+    load_balance: float
+    parallel_efficiency: float
+    original: "RunResult"
+    original_energy: EnergyBreakdown
+    nominal_gear: Any
+
+
+def trace_baseline(
+    simulator: Any, accountant: EnergyAccountant, trace: "Trace"
+) -> Baseline:
+    """The candidate-independent half of pricing a trace."""
+    from repro.traces.analysis import compute_times, load_balance_from_times
+
+    gear = accountant.power_model.law.gear(simulator.time_model.fmax)
+    original = nominal_replay(simulator, trace)
+    comp = compute_times(trace)
+    pe = float(comp.sum() / (comp.size * original.execution_time))
+    energy = accountant.run_energy(
+        original.compute_times, original.execution_time, [gear] * trace.nproc
+    )
+    return Baseline(
+        comp, load_balance_from_times(comp), pe, original, energy, gear
+    )
+
+
+def priced_report(
+    trace: "Trace",
+    base: Baseline,
+    gear_set: GearSet,
+    algorithm: FrequencyAlgorithm,
+    assignment: FrequencyAssignment,
+    time_model: BetaTimeModel,
+    new_time: float,
+    new_energy: EnergyBreakdown,
+    new_compute_times: Any,
+) -> BalanceReport:
+    """The report of one priced cell; every pricing path builds it here,
+    so a capped cell's power section (cap contract enforced) never
+    depends on the path that priced it."""
+    from repro.core import powercap
+
+    report = BalanceReport(
+        app=trace.name,
+        nproc=trace.nproc,
+        algorithm=assignment.algorithm,
+        gear_set=gear_set.name,
+        load_balance=base.load_balance,
+        parallel_efficiency=base.parallel_efficiency,
+        original_time=base.original.execution_time,
+        new_time=new_time,
+        original_energy=base.original_energy,
+        new_energy=new_energy,
+        assignment=assignment,
+        meta={
+            "trace_meta": dict(trace.meta),
+            # raw replay data, so power-model sweeps (static fraction,
+            # activity factor) can re-account energy without re-simulating
+            "original_compute_times": base.original.compute_times,
+            "new_compute_times": new_compute_times,
+            "nominal_gear": base.nominal_gear,
+        },
+    )
+    if isinstance(algorithm, powercap.PowerCapAlgorithm):
+        powercap.attach_power_section(report, algorithm, gear_set, time_model)
+    return report
+
+
 class PowerAwareLoadBalancer:
     """The paper's power-analysis module + Dimemas loop in one object.
 
@@ -225,11 +329,7 @@ class PowerAwareLoadBalancer:
 
     # ------------------------------------------------------------------
     def trace_app(self, app: "Any", columnar: bool = False) -> "Any":
-        """Run an application skeleton once at nominal speed, recording.
-
-        Recording is inherently a DES activity (a compiled tape cannot
-        emit a trace), so this step always runs on the DES whatever the
-        replay-engine selection — results are engine-independent.
+        """Record an application skeleton (see :func:`record_app`).
 
         With ``columnar=True`` the skeleton emits straight into a
         :class:`~repro.traces.columnar.ColumnarTrace` instead of being
@@ -239,19 +339,9 @@ class PowerAwareLoadBalancer:
         objects or DES machinery are involved, which is what makes
         100k-rank worlds traceable.
         """
-        if columnar:
-            trace = app.columnar_trace()
-            trace.meta.setdefault("nproc", trace.nproc)
-            return trace
-        recorder = getattr(self.simulator, "des", self.simulator)
-        if recorder.name != "des":
-            from repro.netsim.simulator import MpiSimulator
-
-            recorder = MpiSimulator(self.simulator.platform, self.time_model)
-        result = recorder.run(
-            app.programs(), record_trace=True, meta={"name": app.name}
-        )
-        trace = result.trace
+        if not columnar:
+            return record_app(self.simulator, app)
+        trace = app.columnar_trace()
         trace.meta.setdefault("nproc", trace.nproc)
         return trace
 
@@ -281,21 +371,16 @@ class PowerAwareLoadBalancer:
         representation-agnostic (compute times, replays and caches all
         work off the shared trace surface).
         """
-        from repro.traces.analysis import compute_times, load_balance_from_times
-
         algorithm = algorithm or self.algorithm
-        nominal_gear = self.power_model.law.gear(self.time_model.fmax)
 
         # 1. original replay (everything at nominal top frequency),
-        # memoised on the trace so sweeping many cells over one trace
-        # pays for the baseline once
-        original = nominal_replay(self.simulator, trace)
-        comp = compute_times(trace)
-        lb = load_balance_from_times(comp)
-        pe = float(comp.sum() / (comp.size * original.execution_time))
+        # memoised on the trace, plus compute times, LB, PE and energy
+        base = trace_baseline(self.simulator, self.accountant, trace)
 
         # 2. frequency assignment
-        assignment = algorithm.assign(comp, self.gear_set, self.time_model)
+        assignment = algorithm.assign(
+            base.compute_times, self.gear_set, self.time_model
+        )
 
         # 3+4. replay the trace under the assignment.  Scaling bursts in
         # the simulator is float-identical to the paper's tracefile
@@ -307,42 +392,27 @@ class PowerAwareLoadBalancer:
         )
 
         # 5. energy integration
-        original_energy = self.accountant.run_energy(
-            original.compute_times,
-            original.execution_time,
-            [nominal_gear] * trace.nproc,
-        )
         new_energy = self.accountant.run_energy(
             modified.compute_times,
             modified.execution_time,
             list(assignment.gears),
         )
-
-        return BalanceReport(
-            app=trace.name,
-            nproc=trace.nproc,
-            algorithm=assignment.algorithm,
-            gear_set=self.gear_set.name,
-            load_balance=lb,
-            parallel_efficiency=pe,
-            original_time=original.execution_time,
-            new_time=modified.execution_time,
-            original_energy=original_energy,
-            new_energy=new_energy,
-            assignment=assignment,
-            meta={
-                "trace_meta": dict(trace.meta),
-                # raw replay data, so power-model sweeps (static fraction,
-                # activity factor) can re-account energy without re-simulating
-                "original_compute_times": original.compute_times,
-                "new_compute_times": modified.compute_times,
-                "nominal_gear": nominal_gear,
-            },
+        return priced_report(
+            trace,
+            base,
+            self.gear_set,
+            algorithm,
+            assignment,
+            self.time_model,
+            modified.execution_time,
+            new_energy,
+            modified.compute_times,
         )
 
     # ------------------------------------------------------------------
+    @staticmethod
     def reaccount(
-        self, report: BalanceReport, power_model: CpuPowerModel
+        report: BalanceReport, power_model: CpuPowerModel
     ) -> BalanceReport:
         """Re-integrate a report's energy under a different power model.
 
@@ -362,19 +432,12 @@ class PowerAwareLoadBalancer:
             report.new_time,
             list(report.assignment.gears),
         )
-        return BalanceReport(
-            app=report.app,
-            nproc=report.nproc,
-            algorithm=report.algorithm,
-            gear_set=report.gear_set,
-            load_balance=report.load_balance,
-            parallel_efficiency=report.parallel_efficiency,
-            original_time=report.original_time,
-            new_time=report.new_time,
+        return replace(
+            report,
             original_energy=original_energy,
             new_energy=new_energy,
-            assignment=report.assignment,
             meta=dict(report.meta),
+            power=None,
         )
 
     # ------------------------------------------------------------------
@@ -389,11 +452,7 @@ class PowerAwareLoadBalancer:
         """
         from repro.traces.transform import scale_compute
 
-        recorder = getattr(self.simulator, "des", self.simulator)
-        if recorder.name != "des":
-            from repro.netsim.simulator import MpiSimulator
-
-            recorder = MpiSimulator(self.simulator.platform, self.time_model)
+        recorder = des_engine(self.simulator)
         original = recorder.run_trace(trace, record_intervals=True)
         scaled = scale_compute(trace, assignment.frequencies, self.time_model)
         modified = recorder.run_trace(scaled, record_intervals=True)

@@ -20,11 +20,14 @@ the shared work once and vectorises the rest:
 4. energy is integrated over the ``(K, nproc)`` result arrays by
    :meth:`~repro.core.energy.EnergyAccountant.run_energy_many`.
 
-The emitted :class:`~repro.core.balancer.BalanceReport` list is
-byte-identical (``to_json()``) to running the scalar path per
-candidate — pinned by tests/test_batchbalance.py — so every consumer
-(CLI, service, experiment sweeps, caches) can switch freely between
-the two paths.
+Reports are built by :func:`~repro.core.balancer.priced_report`, like
+the scalar path's, and are byte-identical (``to_json()``) to running
+the scalar path per candidate — pinned by tests/test_batchbalance.py.
+:meth:`BatchBalancePlanner.plan_trace` is the one pricing orchestration
+behind the experiment ``Runner`` (whose ``balance`` is a one-candidate
+``balance_many``), :class:`~repro.core.powercap.PowerCapBalancer` and
+the service workers; the scalar balancer stays as the independent
+reference the tests price against.
 """
 
 from __future__ import annotations
@@ -35,7 +38,12 @@ from typing import Any, TYPE_CHECKING
 import numpy as np
 
 from repro.core.algorithms import FrequencyAlgorithm, MaxAlgorithm
-from repro.core.balancer import BalanceReport, nominal_replay
+from repro.core.balancer import (
+    BalanceReport,
+    priced_report,
+    record_app,
+    trace_baseline,
+)
 from repro.core.energy import EnergyAccountant
 from repro.core.gears import NOMINAL_FMAX, GearSet
 from repro.core.power import CpuPowerModel
@@ -107,17 +115,7 @@ class BatchBalancePlanner:
         self, app: "Any", candidates: "Any"
     ) -> list[BalanceReport]:
         """Trace an application skeleton once, then plan the trace."""
-        recorder = getattr(self.simulator, "des", self.simulator)
-        if recorder.name != "des":
-            from repro.netsim.simulator import MpiSimulator
-
-            recorder = MpiSimulator(self.simulator.platform, self.time_model)
-        result = recorder.run(
-            app.programs(), record_trace=True, meta={"name": app.name}
-        )
-        trace = result.trace
-        trace.meta.setdefault("nproc", trace.nproc)
-        return self.plan_trace(trace, candidates)
+        return self.plan_trace(record_app(self.simulator, app), candidates)
 
     # ------------------------------------------------------------------
     def plan_trace(
@@ -129,33 +127,21 @@ class BatchBalancePlanner:
         :class:`~repro.core.gears.GearSet` objects are accepted and
         wrapped).  Report order follows candidate order.
         """
-        from repro.traces.analysis import compute_times, load_balance_from_times
-
         cands = [
             c if isinstance(c, SweepCandidate) else SweepCandidate(c)
             for c in candidates
         ]
         if not cands:
             return []
-        nominal_gear = self.power_model.law.gear(self.time_model.fmax)
 
         # shared, candidate-independent work: baseline replay + metrics
-        original = nominal_replay(self.simulator, trace)
-        comp = compute_times(trace)
-        lb = load_balance_from_times(comp)
-        pe = float(comp.sum() / (comp.size * original.execution_time))
-        original_energy = self.accountant.run_energy(
-            original.compute_times,
-            original.execution_time,
-            [nominal_gear] * trace.nproc,
-        )
+        base = trace_baseline(self.simulator, self.accountant, trace)
 
         # per-candidate assignments (cheap Python), stacked into (K, nproc)
+        algorithms = [c.algorithm or self.algorithm for c in cands]
         assignments = [
-            (c.algorithm or self.algorithm).assign(
-                comp, c.gear_set, self.time_model
-            )
-            for c in cands
+            alg.assign(base.compute_times, c.gear_set, self.time_model)
+            for c, alg in zip(cands, algorithms)
         ]
         fmat = np.array([a.frequencies for a in assignments], dtype=float)
 
@@ -169,27 +155,19 @@ class BatchBalancePlanner:
             comp_many, exec_times, [list(a.gears) for a in assignments]
         )
 
-        reports: list[BalanceReport] = []
-        for k, (cand, assignment) in enumerate(zip(cands, assignments)):
-            reports.append(
-                BalanceReport(
-                    app=trace.name,
-                    nproc=trace.nproc,
-                    algorithm=assignment.algorithm,
-                    gear_set=cand.gear_set.name,
-                    load_balance=lb,
-                    parallel_efficiency=pe,
-                    original_time=original.execution_time,
-                    new_time=float(exec_times[k]),
-                    original_energy=original_energy,
-                    new_energy=new_energies[k],
-                    assignment=assignment,
-                    meta={
-                        "trace_meta": dict(trace.meta),
-                        "original_compute_times": original.compute_times,
-                        "new_compute_times": np.array(comp_many[k]),
-                        "nominal_gear": nominal_gear,
-                    },
-                )
+        return [
+            priced_report(
+                trace,
+                base,
+                cand.gear_set,
+                alg,
+                assignment,
+                self.time_model,
+                float(exec_times[k]),
+                new_energies[k],
+                np.array(comp_many[k]),
             )
-        return reports
+            for k, (cand, alg, assignment) in enumerate(
+                zip(cands, algorithms, assignments)
+            )
+        ]

@@ -9,9 +9,9 @@ implements that inversion on top of the existing machinery:
 * :class:`PowerCapAlgorithm` — a
   :class:`~repro.core.algorithms.FrequencyAlgorithm` like MAX/AVG, so a
   capped cell prices through every existing path (scalar balancer,
-  :class:`~repro.core.batchbalance.BatchBalancePlanner`, service
-  workers) unchanged.  Assignment is a critical-path-first greedy with
-  a water-filling fallback:
+  :class:`~repro.core.batchbalance.BatchBalancePlanner`, Runner,
+  service workers) unchanged.  Assignment is a critical-path-first
+  greedy with a water-filling fallback:
 
   1. *greedy* — balance everyone to the fastest attainable completion
      (the critical rank at the set ceiling; off-critical-path ranks
@@ -30,13 +30,17 @@ implements that inversion on top of the existing machinery:
   :class:`PowerCapError` carrying the PC001/PC002 diagnostics from the
   shared :func:`~repro.diagnostics.engine.screen_power_cap` screen.
 
-* :class:`PowerCapBalancer` — the orchestration front end: prices one
-  cap (or a whole budget sweep) through
+* :func:`attach_power_section` — the report's power section (cap,
+  achieved peak/average power, binding ranks, headroom), attached by
+  :func:`~repro.core.balancer.priced_report` wherever a capped cell's
+  :class:`~repro.core.balancer.BalanceReport` is built, so the report
+  never depends on the path that priced it.
+
+* :class:`PowerCapBalancer` — a thin wrapper that prices one cap (or a
+  whole budget sweep) through
   :meth:`~repro.core.batchbalance.BatchBalancePlanner.plan_trace`, so
   compiled / columnar / DES-fallback engines and the batch counters in
-  ``/metrics`` all work for free, then attaches the power section
-  (cap, achieved peak/average power, binding ranks, headroom) to each
-  :class:`~repro.core.balancer.BalanceReport`.
+  ``/metrics`` all work for free.
 
 All powers are in the paper's normalised "model watts" — the same unit
 :class:`~repro.core.power.CpuPowerModel` prices report energies in, so
@@ -112,9 +116,9 @@ class PowerCapAlgorithm(FrequencyAlgorithm):
     Same interface as MAX/AVG, so capped cells drop into every existing
     pricing path (``SweepCandidate(gear_set, PowerCapAlgorithm(cap))``
     batches through the planner unchanged).  The name embeds the cap
-    (``POWERCAP[40]``) so per-cap cells stay distinct in report rows
-    and in the Runner's in-memory keys; cache payloads additionally
-    carry the exact cap (see ``Runner._report_payload``).
+    (``POWERCAP[40]``) so per-cap cells stay distinct in report rows;
+    cell identities additionally carry the exact cap (see
+    :func:`repro.experiments.cache.cell_identity`).
     """
 
     def __init__(self, cap: float, power_model: CpuPowerModel | None = None):
@@ -367,13 +371,11 @@ class PowerCapBalancer:
     """Budget-constrained counterpart of ``PowerAwareLoadBalancer``.
 
     Same constructor shape (gear set, models, platform, engine) plus
-    the ``cap``.  Every balance — scalar or budget sweep — prices
-    through :class:`~repro.core.batchbalance.BatchBalancePlanner`, so
-    compiled/columnar worlds use the chunked vectorised sweep API (and
-    increment the ``batch_*`` engine counters) while unsupported worlds
-    fall back to per-candidate DES replays, exactly like MAX/AVG
-    batches.  Emitted reports carry the power section and are
-    guaranteed to respect the cap on the modeled all-compute peak.
+    the ``cap``.  A thin wrapper over
+    :class:`~repro.core.batchbalance.BatchBalancePlanner`: every
+    balance — one cap or a budget sweep — is one batch of
+    ``PowerCapAlgorithm`` candidates, so emitted reports carry the
+    power section and respect the cap on the modeled all-compute peak.
     """
 
     def __init__(
@@ -392,9 +394,7 @@ class PowerCapBalancer:
         self.cap = float(cap)
         self.power_model = power_model or CpuPowerModel()
         self.time_model = time_model or BetaTimeModel(fmax=NOMINAL_FMAX)
-        self.algorithm = PowerCapAlgorithm(self.cap, self.power_model)
         self.planner = BatchBalancePlanner(
-            algorithm=self.algorithm,
             power_model=self.power_model,
             time_model=self.time_model,
             platform=platform,
@@ -403,21 +403,6 @@ class PowerCapBalancer:
         )
 
     # ------------------------------------------------------------------
-    def trace_app(self, app: "Any") -> "Any":
-        """Record an application skeleton at nominal speed (DES)."""
-        from repro.core.balancer import PowerAwareLoadBalancer
-
-        scalar = PowerAwareLoadBalancer(
-            gear_set=self.gear_set,
-            power_model=self.power_model,
-            time_model=self.time_model,
-            platform=self.planner.simulator.platform,
-        )
-        return scalar.trace_app(app)
-
-    def balance_app(self, app: "Any") -> BalanceReport:
-        return self.balance_trace(self.trace_app(app))
-
     def balance_trace(self, trace: "Trace") -> BalanceReport:
         """One capped balance, priced through the batched sweep API."""
         return self.cap_sweep_trace(trace, [self.cap])[0]
@@ -428,16 +413,7 @@ class PowerCapBalancer:
         """One report per budget, all priced in a single batched pass."""
         from repro.core.batchbalance import SweepCandidate
 
-        algorithms = [
-            self.algorithm
-            if float(cap) == self.cap
-            else PowerCapAlgorithm(cap, self.power_model)
+        return self.planner.plan_trace(trace, [
+            SweepCandidate(self.gear_set, PowerCapAlgorithm(cap, self.power_model))
             for cap in caps
-        ]
-        reports = self.planner.plan_trace(
-            trace,
-            [SweepCandidate(self.gear_set, alg) for alg in algorithms],
-        )
-        for report, alg in zip(reports, algorithms, strict=True):
-            attach_power_section(report, alg, self.gear_set, self.time_model)
-        return reports
+        ])

@@ -7,8 +7,12 @@ keyed by a stable SHA-256 digest of everything that can influence the
 result:
 
 * **traces** — (app, iterations, base_compute, platform);
-* **balance reports** — the trace key plus (gear set, algorithm, β,
-  power model).
+* **balance reports** — the trace key plus the cell identity (gear
+  set, algorithm, β, power model, and the budget of a capped cell).
+
+:func:`cell_identity` is the one place a priced cell's identity is
+written: the Runner's disk payload and in-memory key and the service's
+``"report"`` and ``"balance-batch"`` payloads all derive from it.
 
 Keys are digests of canonical JSON, so two configs hash equal exactly
 when every physical parameter matches — gear *frequencies*, not just
@@ -46,13 +50,16 @@ from repro.netsim.platform import PlatformConfig
 __all__ = [
     "CACHE_VERSION",
     "ResultCache",
+    "batch_identity",
     "cache_key",
+    "cell_identity",
     "default_cache_dir",
     "describe_gear_set",
     "describe_power_model",
     "frame_blob",
     "process_cache_stats",
     "reset_process_cache_stats",
+    "trace_identity",
     "unframe_blob",
 ]
 
@@ -142,6 +149,61 @@ def describe_power_model(model: CpuPowerModel | None) -> dict[str, Any]:
         "static_fraction": model.static_fraction,
         "nominal_fmax": model.nominal_fmax,
         "law": [law.f0, law.v0, law.f1, law.v1],
+    }
+
+
+def trace_identity(
+    app: str, iterations: int, base_compute: float, platform: dict[str, Any]
+) -> dict[str, Any]:
+    """The ``"trace"`` payload: everything a recorded trace depends on."""
+    return {
+        "app": app,
+        "iterations": iterations,
+        "base_compute": base_compute,
+        "platform": platform,
+    }
+
+
+def cell_identity(
+    gear_set: GearSet, algorithm: Any, beta: float
+) -> dict[str, Any]:
+    """The physical identity of one priced cell of a trace; merged over
+    :func:`trace_identity` it is the ``"report"`` payload.
+
+    A capped cell carries its exact budget *additively*: capless cells
+    keep their pre-cap payloads byte for byte, hence their digests.
+    """
+    cell = {
+        "gear_set": describe_gear_set(gear_set),
+        "algorithm": algorithm.name,
+        "beta": beta,
+        # the stored report is always on the default power model;
+        # custom models are reaccounted on top and never cached
+        "power_model": describe_power_model(None),
+    }
+    cap = getattr(algorithm, "cap", None)
+    if cap is not None:
+        cell["power_cap"] = float(cap)
+    return cell
+
+
+#: The per-candidate keys of a ``"balance-batch"`` payload.
+_CANDIDATE_KEYS = ("gear_set", "algorithm")
+
+
+def batch_identity(
+    trace: dict[str, Any], cells: list[dict[str, Any]]
+) -> dict[str, Any]:
+    """The ``"balance-batch"`` payload of ordered cells of one trace.
+
+    Each candidate keeps its gear set and algorithm; what the cells of
+    a batch share (β, power model, budget) is stated once at the top.
+    """
+    shared = {k: v for k, v in cells[0].items() if k not in _CANDIDATE_KEYS}
+    return {
+        **trace,
+        **shared,
+        "candidates": [{k: c[k] for k in _CANDIDATE_KEYS} for c in cells],
     }
 
 

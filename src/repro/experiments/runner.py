@@ -10,6 +10,12 @@ baseline replays so sweeps don't re-simulate what cannot change:
   static fraction / activity factor reuse replays via
   :meth:`repro.core.balancer.PowerAwareLoadBalancer.reaccount`.
 
+Every cell — :meth:`Runner.balance` is a one-candidate
+:meth:`Runner.balance_many` — prices its cache misses through
+:meth:`repro.core.batchbalance.BatchBalancePlanner.plan_trace`, and is
+keyed on :func:`repro.experiments.cache.cell_identity` in memory and
+on disk.
+
 When :attr:`RunnerConfig.cache_dir` is set, both layers are also
 persisted on disk through :class:`repro.experiments.cache.ResultCache`,
 so a repeated sweep (or a parallel campaign's next process) starts from
@@ -20,6 +26,7 @@ input — see :mod:`repro.experiments.cache` for the invalidation rules.
 from __future__ import annotations
 
 import importlib
+import marshal
 import os
 from dataclasses import dataclass, field
 from collections.abc import Callable, Sequence
@@ -27,7 +34,11 @@ from typing import Any
 
 from repro.apps.registry import TABLE3_INSTANCES, build_app
 from repro.core.algorithms import FrequencyAlgorithm, MaxAlgorithm
-from repro.core.balancer import BalanceReport, PowerAwareLoadBalancer
+from repro.core.balancer import (
+    BalanceReport,
+    PowerAwareLoadBalancer,
+    record_app,
+)
 from repro.core.gears import NOMINAL_FMAX, GearSet
 from repro.core.power import CpuPowerModel
 from repro.core.timemodel import BetaTimeModel
@@ -67,11 +78,6 @@ class RunnerConfig:
     #: results are computed, never *what* — identical reports, and it
     #: is excluded from cache identities and report payloads.
     storage: str = "memory"
-    #: Cluster power budget in model watts; ``None`` (the default)
-    #: means uncapped.  A cap routes :meth:`Runner.balance` through the
-    #: power-cap balancer and enters the cache identity *additively*
-    #: (capless cells keep their exact pre-cap keys).
-    power_cap: float | None = None
 
     def app_list(self) -> tuple[str, ...]:
         return self.apps if self.apps is not None else TABLE3_INSTANCES
@@ -130,7 +136,8 @@ class Runner:
                 "(expected 'memory' or 'mmap')"
             )
         self._traces: dict[tuple[str, float], Any] = {}
-        self._reports: dict[tuple, BalanceReport] = {}
+        self._reports: dict[tuple[str, bytes], BalanceReport] = {}
+        self._trace_payloads: dict[str, dict[str, Any]] = {}
         self._store_dir: Any = None  # lazily created tempdir for mmap stores
         self.cache: ResultCache | None = (
             ResultCache(self.config.cache_dir)
@@ -140,15 +147,19 @@ class Runner:
 
     # ------------------------------------------------------------------
     def _trace_payload(self, app_name: str) -> dict[str, Any]:
-        from repro.experiments.cache import platform_payload
+        """The app's trace identity (built once per Runner and app)."""
+        from repro.experiments.cache import platform_payload, trace_identity
 
-        cfg = self.config
-        return {
-            "app": app_name,
-            "iterations": cfg.iterations,
-            "base_compute": cfg.base_compute,
-            "platform": platform_payload(cfg.platform),
-        }
+        payload = self._trace_payloads.get(app_name)
+        if payload is None:
+            cfg = self.config
+            payload = self._trace_payloads[app_name] = trace_identity(
+                app_name,
+                cfg.iterations,
+                cfg.base_compute,
+                platform_payload(cfg.platform),
+            )
+        return payload
 
     def _mmap_trace(self, app: Any):
         """Record ``app`` into a store file and reopen it memory-mapped.
@@ -184,27 +195,15 @@ class Runner:
         trace.meta.setdefault("nproc", trace.nproc)
         return trace
 
-    def trace(self, app_name: str, beta: float | None = None):
-        """The app's recorded trace (cached; β only matters for replays)."""
+    def trace(self, app_name: str):
+        """The app's recorded trace (cached; recording is β-independent)."""
         cfg = self.config
         key = (app_name, cfg.iterations)
         trace = self._traces.get(key)
-        if trace is None and cfg.storage == "mmap":
-            # the store file on disk *is* the persistent artifact —
-            # the pickling result cache is bypassed entirely
-            app = build_app(
-                app_name,
-                iterations=cfg.iterations,
-                base_compute=cfg.base_compute,
-                platform=cfg.platform,
-            )
-            trace = self._mmap_trace(app)
-            self._traces[key] = trace
+        if trace is not None:
             return trace
-        if trace is None and self.cache is not None:
+        if cfg.storage == "memory" and self.cache is not None:
             trace = self.cache.get("trace", self._trace_payload(app_name))
-            if trace is not None:
-                self._traces[key] = trace
         if trace is None:
             app = build_app(
                 app_name,
@@ -212,53 +211,19 @@ class Runner:
                 base_compute=cfg.base_compute,
                 platform=cfg.platform,
             )
-            balancer = self._balancer(
-                gear_set=None, algorithm=None, beta=beta
-            )
-            trace = balancer.trace_app(app)
-            self._traces[key] = trace
-            if self.cache is not None:
-                self.cache.put("trace", self._trace_payload(app_name), trace)
+            if cfg.storage == "mmap":
+                # the store file on disk *is* the persistent artifact —
+                # the pickling result cache is bypassed entirely
+                trace = self._mmap_trace(app)
+            else:
+                from repro.netsim.simulator import MpiSimulator
+
+                # recording runs at nominal speed: no time model applies
+                trace = record_app(MpiSimulator(cfg.platform), app)
+                if self.cache is not None:
+                    self.cache.put("trace", self._trace_payload(app_name), trace)
+        self._traces[key] = trace
         return trace
-
-    def _balancer(
-        self,
-        gear_set: GearSet | None,
-        algorithm: FrequencyAlgorithm | None,
-        beta: float | None,
-        power_model: CpuPowerModel | None = None,
-    ) -> PowerAwareLoadBalancer:
-        from repro.core.gears import uniform_gear_set
-
-        return PowerAwareLoadBalancer(
-            gear_set=gear_set or uniform_gear_set(6),
-            algorithm=algorithm or MaxAlgorithm(),
-            power_model=power_model,
-            time_model=BetaTimeModel(
-                fmax=NOMINAL_FMAX,
-                beta=self.config.beta if beta is None else beta,
-            ),
-            platform=self.config.platform,
-            engine=self.config.engine,
-        )
-
-    def _cell_key(
-        self,
-        app_name: str,
-        gear_set: GearSet,
-        algorithm: FrequencyAlgorithm,
-        beta: float,
-    ) -> tuple:
-        # the trailing cap term is None for every uncapped algorithm,
-        # so classic cells keep their exact pre-cap in-memory keys
-        return (
-            app_name,
-            self.config.iterations,
-            gear_set.name,
-            algorithm.name,
-            beta,
-            getattr(algorithm, "cap", None),
-        )
 
     def balance(
         self,
@@ -267,77 +232,36 @@ class Runner:
         algorithm: FrequencyAlgorithm | None = None,
         beta: float | None = None,
         power_model: CpuPowerModel | None = None,
-        power_cap: float | None = None,
     ) -> BalanceReport:
-        """One cell: balance an app on a gear set (cached on all inputs).
+        """One cell: a one-candidate :meth:`balance_many` (same caches).
 
-        A ``power_cap`` (argument, or :attr:`RunnerConfig.power_cap`)
-        switches the cell to the power-cap objective: the assignment
-        comes from :class:`~repro.core.powercap.PowerCapAlgorithm`
-        (``algorithm`` is ignored), pricing goes through the batched
-        :class:`~repro.core.powercap.PowerCapBalancer`, and the report
-        carries the power section — all under a cap-aware cache
-        identity that leaves capless keys untouched.
+        A capped cell is ``algorithm=PowerCapAlgorithm(cap)``.  Cached
+        reports are always on the default power model; a custom
+        ``power_model`` gets a reaccounted copy, never cached.
         """
-        cap = power_cap if power_cap is not None else self.config.power_cap
-        if cap is not None:
-            from repro.core.powercap import PowerCapAlgorithm
+        from repro.core.batchbalance import SweepCandidate
 
-            algorithm = PowerCapAlgorithm(cap)
-        else:
-            algorithm = algorithm or MaxAlgorithm()
-        eff_beta = self.config.beta if beta is None else beta
-        key = self._cell_key(app_name, gear_set, algorithm, eff_beta)
-        cached = self._reports.get(key)
-        if cached is None and self.cache is not None:
-            payload = self._report_payload(app_name, gear_set, algorithm, eff_beta)
-            cached = self.cache.get("report", payload)
-            if cached is not None:
-                self._reports[key] = cached
-        if cached is None:
-            # cache entries always use the default power model; callers
-            # with a custom model get a reaccounted copy below
-            if cap is not None:
-                from repro.core.powercap import PowerCapBalancer
+        (report,) = self.balance_many(
+            app_name, [SweepCandidate(gear_set, algorithm)], beta=beta
+        )
+        if power_model is None:
+            return report
+        from repro.core.powercap import PowerCapAlgorithm, attach_power_section
 
-                balancer = PowerCapBalancer(
-                    gear_set=gear_set,
-                    cap=cap,
-                    time_model=BetaTimeModel(fmax=NOMINAL_FMAX, beta=eff_beta),
-                    platform=self.config.platform,
-                    engine=self.config.engine,
-                )
-                cached = balancer.balance_trace(self.trace(app_name))
-            else:
-                balancer = self._balancer(gear_set, algorithm, eff_beta, None)
-                cached = balancer.balance_trace(self.trace(app_name), algorithm)
-            self._reports[key] = cached
-            if self.cache is not None:
-                payload = self._report_payload(
-                    app_name, gear_set, algorithm, eff_beta
-                )
-                self.cache.put("report", payload, cached)
-        if power_model is not None:
-            scalar = self._balancer(gear_set, algorithm, eff_beta, power_model)
-            reaccounted = scalar.reaccount(cached, power_model)
-            if cap is not None:
-                # the assignment was chosen under the default model;
-                # re-derive the power section so peak/avg reflect the
-                # caller's model
-                from repro.core.powercap import (
-                    PowerCapAlgorithm,
-                    attach_power_section,
-                )
-
-                attach_power_section(
-                    reaccounted,
-                    PowerCapAlgorithm(cap, power_model),
-                    gear_set,
-                    BetaTimeModel(fmax=NOMINAL_FMAX, beta=eff_beta),
-                    verify=False,
-                )
-            return reaccounted
-        return cached
+        reaccounted = PowerAwareLoadBalancer.reaccount(report, power_model)
+        if isinstance(algorithm, PowerCapAlgorithm):
+            # the assignment was chosen under the default model;
+            # re-derive the power section so peak/avg reflect the
+            # caller's model
+            eff_beta = self.config.beta if beta is None else beta
+            attach_power_section(
+                reaccounted,
+                PowerCapAlgorithm(algorithm.cap, power_model),
+                gear_set,
+                BetaTimeModel(fmax=NOMINAL_FMAX, beta=eff_beta),
+                verify=False,
+            )
+        return reaccounted
 
     def balance_many(
         self,
@@ -349,70 +273,62 @@ class Runner:
 
         ``candidates`` is a sequence of
         :class:`~repro.core.batchbalance.SweepCandidate` (bare gear
-        sets are accepted).  Each cell keeps the exact cache identity
-        of :meth:`balance` — cached cells are served from the caches,
-        only the misses go through the
-        :class:`~repro.core.batchbalance.BatchBalancePlanner`, and
-        freshly planned reports are stored back — so scalar and batched
-        callers interoperate freely on both cache layers.  Reports come
-        back in candidate order.
+        sets are accepted).  Cells are keyed on their
+        :func:`~repro.experiments.cache.cell_identity` in both cache
+        layers: cached cells are served from the caches, only the
+        misses go through
+        :meth:`~repro.core.batchbalance.BatchBalancePlanner.plan_trace`,
+        and freshly planned reports are stored back.  Reports come back
+        in candidate order.
         """
         from repro.core.batchbalance import BatchBalancePlanner, SweepCandidate
+        from repro.experiments.cache import cell_identity
 
         eff_beta = self.config.beta if beta is None else beta
-        resolved: list[tuple[GearSet, FrequencyAlgorithm]] = []
+        cells: list[SweepCandidate] = []
+        keys: list[tuple[str, bytes]] = []
+        reports: list[BalanceReport | None] = []
         for cand in candidates:
             if not isinstance(cand, SweepCandidate):
                 cand = SweepCandidate(cand)
-            resolved.append((cand.gear_set, cand.algorithm or MaxAlgorithm()))
-
-        reports: list[BalanceReport | None] = [None] * len(resolved)
-        misses: list[int] = []
-        for i, (gear_set, algorithm) in enumerate(resolved):
-            key = self._cell_key(app_name, gear_set, algorithm, eff_beta)
-            cached = self._reports.get(key)
-            if cached is None and self.cache is not None:
-                payload = self._report_payload(
-                    app_name, gear_set, algorithm, eff_beta
-                )
-                cached = self.cache.get("report", payload)
-                if cached is not None:
-                    self._reports[key] = cached
-            if cached is None:
-                misses.append(i)
-            else:
-                reports[i] = cached
+            cell = SweepCandidate(cand.gear_set, cand.algorithm or MaxAlgorithm())
+            # memory is per Runner, so the trace part is just the app.
+            # The cell part is packed to bytes: marshal format 2 writes
+            # values only (no object references), so equal identities
+            # pack equal; packing is several times cheaper than JSON
+            # text, and bytes keys, unlike nested tuples, add no work
+            # to the cyclic GC's passes.
+            key = (app_name, marshal.dumps(
+                cell_identity(cell.gear_set, cell.algorithm, eff_beta), 2
+            ))
+            report = self._reports.get(key)
+            if report is None and self.cache is not None:
+                report = self.cache.get("report", self._report_payload(
+                    app_name, cell.gear_set, cell.algorithm, eff_beta
+                ))
+                if report is not None:
+                    self._reports[key] = report
+            cells.append(cell)
+            keys.append(key)
+            reports.append(report)
+        misses = [i for i, report in enumerate(reports) if report is None]
         if misses:
-            from repro.core.powercap import (
-                PowerCapAlgorithm,
-                attach_power_section,
-            )
-
-            time_model = BetaTimeModel(fmax=NOMINAL_FMAX, beta=eff_beta)
             planner = BatchBalancePlanner(
-                time_model=time_model,
+                time_model=BetaTimeModel(fmax=NOMINAL_FMAX, beta=eff_beta),
                 platform=self.config.platform,
                 engine=self.config.engine,
             )
             fresh = planner.plan_trace(
-                self.trace(app_name),
-                [SweepCandidate(*resolved[i]) for i in misses],
+                self.trace(app_name), [cells[i] for i in misses]
             )
             for i, report in zip(misses, fresh):
-                gear_set, algorithm = resolved[i]
-                if isinstance(algorithm, PowerCapAlgorithm):
-                    attach_power_section(
-                        report, algorithm, gear_set, time_model
-                    )
-                key = self._cell_key(app_name, gear_set, algorithm, eff_beta)
-                self._reports[key] = report
+                reports[i] = self._reports[keys[i]] = report
                 if self.cache is not None:
-                    payload = self._report_payload(
-                        app_name, gear_set, algorithm, eff_beta
-                    )
-                    self.cache.put("report", payload, report)
-                reports[i] = report
-        return [r for r in reports if r is not None]
+                    self.cache.put("report", self._report_payload(
+                        app_name, cells[i].gear_set, cells[i].algorithm,
+                        eff_beta,
+                    ), report)
+        return reports
 
     def _report_payload(
         self,
@@ -421,27 +337,12 @@ class Runner:
         algorithm: FrequencyAlgorithm,
         beta: float,
     ) -> dict[str, Any]:
-        from repro.experiments.cache import (
-            describe_gear_set,
-            describe_power_model,
-        )
+        from repro.experiments.cache import cell_identity
 
-        payload = {
+        return {
             **self._trace_payload(app_name),
-            "gear_set": describe_gear_set(gear_set),
-            "algorithm": algorithm.name,
-            "beta": beta,
-            # the stored report is always on the default power model;
-            # custom models are reaccounted on top and never cached
-            "power_model": describe_power_model(None),
+            **cell_identity(gear_set, algorithm, beta),
         }
-        # additive key extension: capped cells carry the exact budget,
-        # capless payloads stay byte-identical to the pre-cap schema
-        # (same canonical JSON, same content digest)
-        cap = getattr(algorithm, "cap", None)
-        if cap is not None:
-            payload["power_cap"] = float(cap)
-        return payload
 
 
 def get_experiment(eid: str) -> Callable[[RunnerConfig | None], ExperimentResult]:

@@ -1361,6 +1361,11 @@ class CompiledReplayEngine:
         independently and the burst blocking is elementwise, so the
         concatenation of chunked passes is bit-identical to one full
         pass.
+
+        A one-row matrix is priced by the scalar :meth:`evaluate`
+        kernel instead: its row is bit-identical, and a one-lane vector
+        pass pays numpy's per-call overhead on every tape instruction
+        with nothing to amortise it over.
         """
         program = self.compile_trace(trace)
         fmat = np.asarray(frequencies, dtype=float)
@@ -1369,7 +1374,15 @@ class CompiledReplayEngine:
                 f"frequency matrix must be (K, nproc), got shape {fmat.shape}"
             )
         K = fmat.shape[0]
-        if chunk_size is None or chunk_size <= 0 or chunk_size >= K:
+        if K == 1:
+            row = program.evaluate(fmat[0])
+            parts = [{
+                "execution_time": np.array([row.execution_time]),
+                "compute_times": row.compute_times[None, :],
+                "comm_times": row.comm_times[None, :],
+                "end_times": row.end_times[None, :],
+            }]
+        elif chunk_size is None or chunk_size <= 0 or chunk_size >= K:
             parts = [program.evaluate_many(fmat)]
         else:
             parts = [

@@ -11,9 +11,12 @@ SHA-256 digest.  That digest is simultaneously
   and the warm cache *fleet-wide*: every identical body lands on the
   same replica, so the fleet computes it once.
 
-Balance requests reuse the Runner's ``"report"`` keying verbatim, so
-the service, the CLI and campaign workers all dedupe through the same
-blobs.
+Balance requests resolve their cells with
+:func:`repro.service.workers.resolve_candidates` (the resolver the jobs
+price with) and derive payloads from
+:func:`repro.experiments.cache.cell_identity` (the function the Runner
+keys on), so the service, the CLI and campaign workers all dedupe
+through the same blobs.
 """
 
 from __future__ import annotations
@@ -31,66 +34,29 @@ def cache_identity(kind: str, spec: dict[str, Any]) -> tuple[str, Any]:
     ``parse_experiment_request``.
     """
     from repro.experiments.cache import (
-        describe_gear_set,
-        describe_power_model,
+        batch_identity,
+        cell_identity,
         platform_payload,
+        trace_identity,
     )
     from repro.netsim.platform import MYRINET_LIKE
-    from repro.service.workers import resolve_algorithm, resolve_gear_set
+    from repro.service.workers import resolve_candidates
 
     platform = spec.get("platform") or platform_payload(MYRINET_LIKE)
-    cap = spec.get("power_cap")
-
-    def _algorithm_name(name: str) -> str:
-        # a budget overrides the requested algorithm (the worker
-        # prices through PowerCapAlgorithm), so the identity must
-        # carry the effective name — mirroring Runner._report_payload
-        if cap is not None:
-            from repro.core.powercap import PowerCapAlgorithm
-
-            return PowerCapAlgorithm(cap).name
-        return resolve_algorithm(name).name
-
-    if kind == "balance":
-        payload = {
-            "app": spec["app"],
-            "iterations": spec["iterations"],
-            "base_compute": spec["base_compute"],
-            "platform": platform,
-            "gear_set": describe_gear_set(resolve_gear_set(spec["gears"])),
-            "algorithm": _algorithm_name(spec["algorithm"]),
-            "beta": spec["beta"],
-            "power_model": describe_power_model(None),
-        }
-        if cap is not None:
-            # additive: capless payloads keep their pre-cap digests
-            payload["power_cap"] = float(cap)
-        return "report", payload
-    if kind == "balance_batch":
-        # batch-level fast path: the assembled response, addressed
-        # by the ordered candidate list (per-candidate reports are
-        # separately stored under the Runner's "report" keying by
-        # the worker, so scalar requests still hit them)
-        payload = {
-            "app": spec["app"],
-            "iterations": spec["iterations"],
-            "base_compute": spec["base_compute"],
-            "platform": platform,
-            "beta": spec["beta"],
-            "power_model": describe_power_model(None),
-            "candidates": [
-                {
-                    "gear_set": describe_gear_set(
-                        resolve_gear_set(c["gears"])
-                    ),
-                    "algorithm": _algorithm_name(c["algorithm"]),
-                }
-                for c in spec["candidates"]
-            ],
-        }
-        if cap is not None:
-            payload["power_cap"] = float(cap)
-        return "balance-batch", payload
+    if kind in ("balance", "balance_batch"):
+        trace = trace_identity(
+            spec["app"], spec["iterations"], spec["base_compute"], platform
+        )
+        cells = [
+            cell_identity(c.gear_set, c.algorithm, spec["beta"])
+            for c in resolve_candidates(spec)
+        ]
+        if kind == "balance":
+            return "report", {**trace, **cells[0]}
+        # the assembled batch response; each candidate's report is
+        # also stored under its own "report" identity by the worker,
+        # so scalar requests still hit them
+        return "balance-batch", batch_identity(trace, cells)
     payload = {
         "eid": spec["eid"],
         "iterations": spec["iterations"],

@@ -27,6 +27,7 @@ __all__ = [
     "execute_balance",
     "execute_balance_many",
     "resolve_algorithm",
+    "resolve_candidates",
     "resolve_gear_set",
     "run_balance_batch_job",
     "run_balance_job",
@@ -81,6 +82,29 @@ def resolve_algorithm(name: str):
         ) from None
 
 
+def resolve_candidates(spec: dict[str, Any]) -> list[Any]:
+    """The priced cells of a validated balance spec, in order.
+
+    A batch spec's ``candidates``, else the scalar request as one cell.
+    A ``power_cap`` overrides every requested algorithm: each cell
+    prices through :class:`~repro.core.powercap.PowerCapAlgorithm`
+    (the requested name is still validated, then ignored).  The job
+    entry points price these cells and
+    :func:`repro.service.identity.cache_identity` addresses them.
+    """
+    from repro.core.batchbalance import SweepCandidate
+    from repro.core.powercap import PowerCapAlgorithm
+
+    cap = spec.get("power_cap")
+    cells = []
+    for c in spec.get("candidates", [spec]):
+        algorithm = resolve_algorithm(c["algorithm"])
+        if cap is not None:
+            algorithm = PowerCapAlgorithm(cap)
+        cells.append(SweepCandidate(resolve_gear_set(c["gears"]), algorithm))
+    return cells
+
+
 def _resolve_platform(platform_dict: dict[str, Any] | None):
     from repro.netsim.config import platform_from_dict
     from repro.netsim.platform import MYRINET_LIKE
@@ -102,30 +126,24 @@ def _runner_config(spec: dict[str, Any]):
         cache_dir=spec.get("cache_dir"),
         engine=spec.get("engine", "auto"),
         storage=spec.get("storage", "memory"),
-        power_cap=spec.get("power_cap"),
     )
 
 
 def execute_balance(spec: dict[str, Any]):
-    """Run one balance request; returns the :class:`BalanceReport`.
+    """Run one balance request; returns ``(report, runner)``.
 
     ``spec`` keys: ``app``, ``gears``, ``algorithm``, ``beta``,
     ``iterations``, ``base_compute``, and optionally ``platform`` (a
-    platform dict), ``cache_dir`` and ``power_cap`` (model watts).  A
-    ``power_cap`` selects the power-cap balancer: the assignment comes
-    from :class:`~repro.core.powercap.PowerCapAlgorithm` (``algorithm``
-    is ignored for the assignment but still validated) and the report
-    carries the power section under a cap-aware cache identity.
+    platform dict), ``cache_dir`` and ``power_cap`` (model watts; see
+    :func:`resolve_candidates`).  A capped report carries the power
+    section under a cap-aware cache identity.
     """
     from repro.experiments.runner import Runner
 
     runner = Runner(_runner_config(spec))
+    (cell,) = resolve_candidates(spec)
     return runner.balance(
-        spec["app"],
-        resolve_gear_set(spec["gears"]),
-        resolve_algorithm(spec["algorithm"]),
-        beta=spec["beta"],
-        power_cap=spec.get("power_cap"),
+        spec["app"], cell.gear_set, cell.algorithm, beta=spec["beta"]
     ), runner
 
 
@@ -154,27 +172,11 @@ def execute_balance_many(spec: dict[str, Any]):
     blobs scalar requests probe — a batch warms the cache for later
     scalar traffic and vice versa.
     """
-    from repro.core.batchbalance import SweepCandidate
     from repro.experiments.runner import Runner
 
     runner = Runner(_runner_config(spec))
-    cap = spec.get("power_cap")
-    candidates = []
-    for c in spec["candidates"]:
-        if cap is not None:
-            # a capped batch prices every candidate gear set under the
-            # power-cap objective (the candidate's algorithm is display
-            # metadata only once a budget is in force)
-            from repro.core.powercap import PowerCapAlgorithm
-
-            algorithm = PowerCapAlgorithm(cap)
-        else:
-            algorithm = resolve_algorithm(c["algorithm"])
-        candidates.append(
-            SweepCandidate(resolve_gear_set(c["gears"]), algorithm)
-        )
     return runner.balance_many(
-        spec["app"], candidates, beta=spec["beta"]
+        spec["app"], resolve_candidates(spec), beta=spec["beta"]
     ), runner
 
 

@@ -276,6 +276,20 @@ class TestBatchCounters:
         assert stats["batch_fallback_candidates"] == 2
         assert stats["auto_fallbacks"] == 0
 
+    def test_one_row_matrix_prices_like_the_vector_kernel(self):
+        """A one-row matrix takes the scalar kernel: same bits, same shapes."""
+        from repro.netsim.compiled import CompiledReplayEngine
+
+        trace = record_trace(skewed_programs())
+        engine = CompiledReplayEngine(MYRINET_LIKE, MODEL)
+        fmat = np.array([[1.1, 2.3, 1.7, 0.8]])
+        one = engine.evaluate_assignments(trace, fmat)
+        many = engine.compile_trace(trace).evaluate_many(fmat)
+        assert one.keys() == many.keys()
+        for key in many:
+            assert one[key].shape == many[key].shape
+            assert np.array_equal(one[key], many[key]), key
+
     def test_bad_frequency_matrix_rejected(self):
         trace = record_trace(skewed_programs(nproc=3))
         planner = BatchBalancePlanner(time_model=MODEL)

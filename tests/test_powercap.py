@@ -199,6 +199,74 @@ class TestPowerCapBalancer:
             attach_power_section(report, liar, GS, MODEL)
 
 
+class _OverBudget(PowerCapAlgorithm):
+    """Emits the budget-blind assignment: must fail the cap contract."""
+
+    def assign(self, compute_times, gear_set, model):
+        return self.uncapped_reference(compute_times, gear_set, model)
+
+
+class TestOneCappedReport:
+    """Every front door prices a capped cell into the same report."""
+
+    CAP = 60.0
+
+    @pytest.fixture(scope="class")
+    def runner(self):
+        return Runner(RunnerConfig(iterations=2))
+
+    @pytest.fixture(scope="class")
+    def trace(self, runner):
+        return runner.trace("BT-MZ-32")
+
+    def routes(self, runner, trace):
+        from repro.core.balancer import PowerAwareLoadBalancer
+        from repro.core.batchbalance import BatchBalancePlanner, SweepCandidate
+
+        cell = SweepCandidate(GS, PowerCapAlgorithm(self.CAP))
+        return {
+            "Runner.balance": lambda: Runner(
+                RunnerConfig(iterations=2)
+            ).balance("BT-MZ-32", GS, PowerCapAlgorithm(self.CAP)),
+            "Runner.balance_many": lambda: runner.balance_many(
+                "BT-MZ-32", [cell]
+            )[0],
+            "PowerCapBalancer": lambda: PowerCapBalancer(
+                GS, self.CAP, time_model=MODEL
+            ).balance_trace(trace),
+            "BatchBalancePlanner": lambda: BatchBalancePlanner(
+                time_model=MODEL
+            ).plan_trace(trace, [cell])[0],
+            "PowerAwareLoadBalancer": lambda: PowerAwareLoadBalancer(
+                GS, time_model=MODEL
+            ).balance_trace(trace, PowerCapAlgorithm(self.CAP)),
+        }
+
+    def test_all_routes_byte_identical_with_power(self, runner, trace):
+        bodies = {
+            name: json.dumps(price().to_json(), sort_keys=True)
+            for name, price in self.routes(runner, trace).items()
+        }
+        assert all('"power"' in body for body in bodies.values()), [
+            name for name, body in bodies.items() if '"power"' not in body
+        ]
+        assert len(set(bodies.values())) == 1, sorted(bodies)
+
+    def test_contract_checked_at_report_build(self, trace):
+        from repro.core.balancer import PowerAwareLoadBalancer
+        from repro.core.batchbalance import BatchBalancePlanner, SweepCandidate
+
+        liar = _OverBudget(P_FLOOR)  # below any 32-rank peak
+        with pytest.raises(RuntimeError, match="contract"):
+            BatchBalancePlanner(time_model=MODEL).plan_trace(
+                trace, [SweepCandidate(GS, liar)]
+            )
+        with pytest.raises(RuntimeError, match="contract"):
+            PowerAwareLoadBalancer(GS, time_model=MODEL).balance_trace(
+                trace, liar
+            )
+
+
 class TestCacheIdentity:
     def test_capless_payload_is_pre_cap_schema(self):
         runner = Runner(RunnerConfig(iterations=2))
@@ -249,13 +317,12 @@ class TestCacheIdentity:
                 expected, sort_keys=True
             )
 
-    def test_cell_key_distinguishes_caps(self):
+    def test_one_runner_prices_each_cap_separately(self):
         runner = Runner(RunnerConfig(iterations=2))
-        k_capless = runner._cell_key("CG-32", GS, MaxAlgorithm(), 0.5)
-        k40 = runner._cell_key("CG-32", GS, PowerCapAlgorithm(40.0), 0.5)
-        k50 = runner._cell_key("CG-32", GS, PowerCapAlgorithm(50.0), 0.5)
-        assert k_capless[-1] is None
-        assert len({k_capless, k40, k50}) == 3
+        r90 = runner.balance("CG-32", GS, PowerCapAlgorithm(90.0), beta=0.5)
+        r100 = runner.balance("CG-32", GS, PowerCapAlgorithm(100.0), beta=0.5)
+        assert (r90.power["cap_w"], r100.power["cap_w"]) == (90.0, 100.0)
+        assert r90.to_json() != r100.to_json()
 
 
 class TestWireFormat:
@@ -270,7 +337,7 @@ class TestWireFormat:
 
     def test_capped_report_json_round_trips_power(self):
         runner = Runner(RunnerConfig(iterations=2))
-        report = runner.balance("CG-32", GS, beta=0.5, power_cap=100.0)
+        report = runner.balance("CG-32", GS, PowerCapAlgorithm(100.0), beta=0.5)
         body = report.to_json()
         assert body["power"]["cap_w"] == 100.0
         json.loads(json.dumps(body))  # JSON-serialisable throughout
@@ -279,12 +346,12 @@ class TestWireFormat:
         cfg = RunnerConfig(iterations=2, cache_dir=str(tmp_path / "c"))
         runner = Runner(cfg)
         capless = runner.balance("CG-32", GS, beta=0.5)
-        capped = runner.balance("CG-32", GS, beta=0.5, power_cap=90.0)
+        capped = runner.balance("CG-32", GS, PowerCapAlgorithm(90.0), beta=0.5)
         assert capless.algorithm == "MAX"
         assert capped.algorithm == "POWERCAP[90]"
         # a fresh runner resolves both from disk, still distinct
         fresh = Runner(cfg)
-        again = fresh.balance("CG-32", GS, beta=0.5, power_cap=90.0)
+        again = fresh.balance("CG-32", GS, PowerCapAlgorithm(90.0), beta=0.5)
         assert again.power["cap_w"] == 90.0
 
 

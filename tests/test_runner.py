@@ -52,6 +52,34 @@ class TestReportCache:
         assert r6.gear_set != r8.gear_set
 
 
+class TestPhysicalCellKey:
+    """Two gear sets sharing a display name are still two cells."""
+
+    LOW = uniform_gear_set(6)
+    HIGH = uniform_gear_set(6, fmin=1.4)
+
+    @pytest.fixture(scope="class")
+    def fresh_high(self):
+        return Runner(RunnerConfig(iterations=2)).balance("BT-MZ-32", self.HIGH)
+
+    def test_sets_share_a_name(self):
+        assert self.LOW.name == self.HIGH.name
+
+    def test_balance_keys_on_gear_content(self, fresh_high):
+        runner = Runner(RunnerConfig(iterations=2))
+        runner.balance("BT-MZ-32", self.LOW)
+        got = runner.balance("BT-MZ-32", self.HIGH)
+        assert min(got.assignment.frequencies) >= self.HIGH.fmin
+        assert got.to_json() == fresh_high.to_json()
+
+    def test_balance_many_keys_on_gear_content(self, fresh_high):
+        runner = Runner(RunnerConfig(iterations=2))
+        runner.balance_many("BT-MZ-32", [self.LOW])
+        (got,) = runner.balance_many("BT-MZ-32", [self.HIGH])
+        assert min(got.assignment.frequencies) >= self.HIGH.fmin
+        assert got.to_json() == fresh_high.to_json()
+
+
 class TestPowerModelReaccounting:
     def test_custom_model_does_not_pollute_cache(self, runner):
         gs = uniform_gear_set(6)
