@@ -33,9 +33,8 @@ import pytest
 
 from repro.apps import build_app
 from repro.core.timemodel import BetaTimeModel
-from repro.netsim.compiled import CompiledReplayEngine
+from repro.netsim.compiled import CompiledReplayEngine, compile_world
 from repro.netsim.platform import MYRINET_LIKE
-from repro.traces import Trace
 
 FAMILY = "BT-MZ"
 RANKS = (256, 1024, 4096)
@@ -124,19 +123,14 @@ def test_columnar_matches_record_path():
     trace, makespans = _WORLDS[nproc]
 
     app = build_app(f"{FAMILY}-{nproc}", iterations=ITERATIONS)
-    record_trace = Trace.from_streams(
-        app.programs(), meta={"name": app.name}
-    )
-    engine = CompiledReplayEngine(MYRINET_LIKE, BetaTimeModel(fmax=2.3))
-    record_makespans = engine.compile_trace(record_trace).evaluate_many(
-        _candidates(nproc)
-    )["execution_time"]
+    programs = [list(p) for p in app.programs()]
+    record_makespans = compile_world(
+        programs, MYRINET_LIKE, BetaTimeModel(fmax=2.3)
+    ).evaluate_many(_candidates(nproc))["execution_time"]
     assert np.array_equal(makespans, record_makespans), (
         "columnar pipeline diverged from the record path"
     )
-    assert [view.records for view in trace] == [
-        list(stream) for stream in record_trace
-    ]
+    assert [view.records for view in trace] == programs
 
 
 def test_memory_ceiling():
@@ -371,7 +365,7 @@ def _peak_kb() -> int:
 def main() -> None:
     text = open(sys.argv[1], encoding="utf-8").read()
     before = _peak_kb()
-    trace = loads_trace(text, columnar=True)
+    trace = loads_trace(text)
     delta = _peak_kb() - before
     print(json.dumps({
         "text_mb": round(len(text) / 1024**2, 2),
@@ -386,9 +380,9 @@ if __name__ == "__main__":
 
 
 def test_loads_trace_streams(tmp_path):
-    """``loads_trace(..., columnar=True)`` builds columns straight from
-    the document: its peak-RSS delta stays below the document size
-    (the old path buffered a full second copy through ``StringIO``)."""
+    """``loads_trace`` builds columns straight from the document: its
+    peak-RSS delta stays below the document size (the old path buffered
+    a full second copy through ``StringIO``)."""
     from repro.traces.jsonio import write_trace
 
     app = build_app("BT-MZ-8192", iterations=2)

@@ -38,7 +38,7 @@ from repro.core import (
 )
 from repro.apps import build_app, app_names
 from repro.netsim import MpiSimulator, PlatformConfig
-from repro.traces import Trace, load_balance, read_trace, write_trace
+from repro.traces import ColumnarTrace, load_balance, read_trace, write_trace
 
 __version__ = "1.0.0"
 
@@ -46,6 +46,7 @@ __all__ = [
     "AvgAlgorithm",
     "BalanceReport",
     "BetaTimeModel",
+    "ColumnarTrace",
     "CpuPowerModel",
     "EnergyAccountant",
     "FrequencyAssignment",
@@ -56,7 +57,6 @@ __all__ = [
     "NoDvfsAlgorithm",
     "PlatformConfig",
     "PowerAwareLoadBalancer",
-    "Trace",
     "__version__",
     "app_names",
     "build_app",

@@ -122,30 +122,15 @@ class AppSkeleton(ABC):
         """The family's uncalibrated heaviness structure."""
 
     # ------------------------------------------------------------------
-    # rank programs: emitter flavour and generator flavour
-    #
-    # A skeleton family overrides exactly one of ``emit_rank`` (the
-    # preferred, storage-agnostic form) or ``rank_program`` (the legacy
-    # generator form); the base class derives the other.
+    # rank programs: a family emits each rank's event stream once, into
+    # whichever emitter the caller picks (records or columns)
     # ------------------------------------------------------------------
+    @abstractmethod
     def emit_rank(self, rank: int, em: ProgramEmitter) -> None:
-        """Emit the rank's event stream into ``em``.
-
-        The default drives the legacy :meth:`rank_program` generator
-        through the emitter, so generator-only skeletons keep working
-        (their columnar path materialises records transiently, one at a
-        time).
-        """
-        if type(self).rank_program is AppSkeleton.rank_program:
-            raise NotImplementedError(
-                f"{type(self).__name__} must override emit_rank() or "
-                "rank_program()"
-            )
-        for record in self.rank_program(rank):
-            em.emit(record)
+        """Emit the rank's event stream into ``em``."""
 
     def rank_program(self, rank: int) -> Iterator[Record]:
-        """The rank's record stream (a generator)."""
+        """The rank's record stream (a generator over :meth:`emit_rank`)."""
         em = RecordEmitter(rank)
         self.emit_rank(rank, em)
         yield from em.records

@@ -281,33 +281,9 @@ class ProgramEmitter:
         """North/south/east/west exchange on the most-square 2-D grid."""
         self.exchange(halo_partners_2d(self.rank, nproc, periodic), nbytes, tag)
 
-    # record bridge (drives legacy generator skeletons into any emitter)
-    def emit(self, record: Record) -> None:
-        kind = record.kind
-        if kind == "compute":
-            self.compute(record.duration, record.phase, record.beta)
-        elif kind == "send":
-            self.send(record.dst, record.nbytes, record.tag)
-        elif kind == "recv":
-            self.recv(record.src, record.tag)
-        elif kind == "isend":
-            self.isend(record.dst, record.nbytes, record.tag, record.request)
-        elif kind == "irecv":
-            self.irecv(record.src, record.tag, record.request)
-        elif kind == "wait":
-            self.wait(record.request)
-        elif kind == "waitall":
-            self.waitall(record.requests)
-        elif kind == "collective":
-            self.collective(record.op, record.nbytes, record.root)
-        elif kind == "marker":
-            self.marker(record.label, record.iteration)
-        else:
-            raise ValueError(f"unknown record kind {kind!r}")
-
 
 class RecordEmitter(ProgramEmitter):
-    """Emitter that collects record objects (the legacy representation)."""
+    """Emitter that collects record objects (the DES program input)."""
 
     __slots__ = ("records",)
 
@@ -343,9 +319,6 @@ class RecordEmitter(ProgramEmitter):
 
     def marker(self, label: str, iteration: int = -1) -> None:
         self.records.append(MarkerRecord(label, iteration))
-
-    def emit(self, record: Record) -> None:
-        self.records.append(record)
 
 
 class ColumnEmitter(ProgramEmitter):
@@ -389,9 +362,6 @@ class ColumnEmitter(ProgramEmitter):
 
     def marker(self, label: str, iteration: int = -1) -> None:
         self.builder.marker(self.rank, label, iteration)
-
-    def emit(self, record: Record) -> None:
-        self.builder.append_record(self.rank, record)
 
 
 # -- composite, deadlock-free exchange patterns (generator flavour) ------

@@ -327,14 +327,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.traces.jsonio import write_trace
 
     app = build_app(args.app, iterations=args.iterations)
-    balancer = PowerAwareLoadBalancer(gear_set=uniform_gear_set(6))
     if args.jobs > 1:
-        # shard-parallel generation goes straight to columnar storage
-        # (byte-identical output whatever the worker count)
+        # shard-parallel generation emits the same events and meta as
+        # recording through the DES (byte-identical output whatever the
+        # worker count)
         trace = app.columnar_trace(jobs=args.jobs)
         trace.meta.setdefault("nproc", trace.nproc)
     else:
-        trace = balancer.trace_app(app, columnar=args.columnar)
+        balancer = PowerAwareLoadBalancer(gear_set=uniform_gear_set(6))
+        trace = balancer.trace_app(app)
     write_trace(trace, args.output)
     print(f"wrote {args.output} ({trace.total_records()} records, "
           f"{trace.nproc} ranks)")
@@ -357,9 +358,9 @@ def _cmd_trace_pack(args: argparse.Namespace) -> int:
                 trace.detach_mapping()
             direction = "store -> jsonl"
         else:
-            # JSON-lines -> binary: the columnar reader parses line by
-            # line, so both representations never coexist in full
-            trace = read_trace(args.input, columnar=True)
+            # JSON-lines -> binary: the reader parses line by line
+            # straight into columns
+            trace = read_trace(args.input)
             trace.save(args.output)
             direction = "jsonl -> store"
     except (OSError, ValueError) as exc:
@@ -461,13 +462,13 @@ def _cmd_info(args: argparse.Namespace) -> int:
         print("  heaviest p2p pairs:  " + ", ".join(
             f"r{src}->r{dst} {int(nbytes)}B" for src, dst, nbytes in pairs
         ))
-    from repro.traces.lint import lint_trace
+    from repro.diagnostics import lint_trace_subject
 
-    findings = lint_trace(trace)
+    findings = lint_trace_subject(trace)
     if findings:
         print(f"  lint ({len(findings)} finding(s)):")
-        for warning in findings[:10]:
-            print(f"    {warning}")
+        for diag in findings[:10]:
+            print(f"    {diag}")
         if len(findings) > 10:
             print(f"    ... and {len(findings) - 10} more")
     else:
@@ -712,15 +713,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_trr.add_argument("-o", "--output", default="trace.jsonl")
     p_trr.add_argument("--iterations", type=int, default=6)
     p_trr.add_argument(
-        "--columnar",
-        action="store_true",
-        help="record into columnar storage (no per-event record objects; "
-        "same file bytes, scales to very large worlds)",
-    )
-    p_trr.add_argument(
         "--jobs", type=int, default=1,
-        help="shard-parallel generation workers (implies columnar; "
-        "output bytes are identical whatever the worker count)",
+        help="shard-parallel generation workers (output bytes are "
+        "identical whatever the worker count)",
     )
     p_trr.set_defaults(fn=_cmd_trace)
     p_trp = trace_sub.add_parser(

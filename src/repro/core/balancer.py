@@ -35,7 +35,7 @@ from repro.core.timemodel import BetaTimeModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.netsim.record import RunResult
-    from repro.traces.trace import Trace
+    from repro.traces.columnar import ColumnarTrace
 
 __all__ = [
     "BalanceReport",
@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 
-def nominal_replay(simulator: Any, trace: "Trace") -> "RunResult":
+def nominal_replay(simulator: Any, trace: "ColumnarTrace") -> "RunResult":
     """The trace's nominal-speed baseline replay, memoised on the trace.
 
     Every balance of a trace needs the same original replay (everything
@@ -88,7 +88,7 @@ def des_engine(simulator: Any) -> Any:
     return des
 
 
-def record_app(simulator: Any, app: Any) -> "Trace":
+def record_app(simulator: Any, app: Any) -> "ColumnarTrace":
     """Run an application skeleton once at nominal speed, recording."""
     result = des_engine(simulator).run(
         app.programs(), record_trace=True, meta={"name": app.name}
@@ -227,7 +227,7 @@ class Baseline(NamedTuple):
 
 
 def trace_baseline(
-    simulator: Any, accountant: EnergyAccountant, trace: "Trace"
+    simulator: Any, accountant: EnergyAccountant, trace: "ColumnarTrace"
 ) -> Baseline:
     """The candidate-independent half of pricing a trace."""
     from repro.traces.analysis import compute_times, load_balance_from_times
@@ -245,7 +245,7 @@ def trace_baseline(
 
 
 def priced_report(
-    trace: "Trace",
+    trace: "ColumnarTrace",
     base: Baseline,
     gear_set: GearSet,
     algorithm: FrequencyAlgorithm,
@@ -328,49 +328,23 @@ class PowerAwareLoadBalancer:
         self.accountant = EnergyAccountant(self.power_model)
 
     # ------------------------------------------------------------------
-    def trace_app(self, app: "Any", columnar: bool = False) -> "Any":
-        """Record an application skeleton (see :func:`record_app`).
-
-        With ``columnar=True`` the skeleton emits straight into a
-        :class:`~repro.traces.columnar.ColumnarTrace` instead of being
-        executed through the DES — the recorded event streams are
-        identical (the DES appends each operation to the trace in
-        program order before executing it), but no per-event record
-        objects or DES machinery are involved, which is what makes
-        100k-rank worlds traceable.
-        """
-        if not columnar:
-            return record_app(self.simulator, app)
-        trace = app.columnar_trace()
-        trace.meta.setdefault("nproc", trace.nproc)
-        return trace
+    def trace_app(self, app: "Any") -> "ColumnarTrace":
+        """Record an application skeleton (see :func:`record_app`)."""
+        return record_app(self.simulator, app)
 
     def balance_app(
         self,
         app: "Any",
         algorithm: FrequencyAlgorithm | None = None,
-        columnar: bool = False,
     ) -> BalanceReport:
-        """Trace an application skeleton, then balance the trace.
-
-        ``columnar=True`` traces into columnar storage (see
-        :meth:`trace_app`); the report is byte-identical either way.
-        """
-        return self.balance_trace(
-            self.trace_app(app, columnar=columnar), algorithm=algorithm
-        )
+        """Trace an application skeleton, then balance the trace."""
+        return self.balance_trace(self.trace_app(app), algorithm=algorithm)
 
     # ------------------------------------------------------------------
     def balance_trace(
-        self, trace: "Any", algorithm: FrequencyAlgorithm | None = None
+        self, trace: "ColumnarTrace", algorithm: FrequencyAlgorithm | None = None
     ) -> BalanceReport:
-        """The full §4 pipeline on a recorded trace.
-
-        Accepts either a :class:`~repro.traces.trace.Trace` or a
-        :class:`~repro.traces.columnar.ColumnarTrace`; the pipeline is
-        representation-agnostic (compute times, replays and caches all
-        work off the shared trace surface).
-        """
+        """The full §4 pipeline on a recorded trace."""
         algorithm = algorithm or self.algorithm
 
         # 1. original replay (everything at nominal top frequency),
@@ -441,8 +415,9 @@ class PowerAwareLoadBalancer:
         )
 
     # ------------------------------------------------------------------
-    def replay_pair(self, trace: "Trace", assignment: FrequencyAssignment
-                    ) -> "tuple[RunResult, RunResult]":
+    def replay_pair(
+        self, trace: "ColumnarTrace", assignment: FrequencyAssignment
+    ) -> "tuple[RunResult, RunResult]":
         """Original + modified replays for a given assignment (Fig. 1).
 
         Both runs record state intervals so they can be rendered with

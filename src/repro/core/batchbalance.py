@@ -50,7 +50,7 @@ from repro.core.power import CpuPowerModel
 from repro.core.timemodel import BetaTimeModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.traces.trace import Trace
+    from repro.traces.columnar import ColumnarTrace
 
 __all__ = ["DEFAULT_CHUNK_SIZE", "BatchBalancePlanner", "SweepCandidate"]
 
@@ -119,7 +119,7 @@ class BatchBalancePlanner:
 
     # ------------------------------------------------------------------
     def plan_trace(
-        self, trace: "Trace", candidates: "Any"
+        self, trace: "ColumnarTrace", candidates: "Any"
     ) -> list[BalanceReport]:
         """One report per candidate, byte-identical to the scalar path.
 

@@ -32,7 +32,7 @@ from repro.core.power import CpuPowerModel, CpuState
 from repro.core.timemodel import BetaTimeModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.traces.trace import Trace
+    from repro.traces.columnar import ColumnarTrace
 
 __all__ = ["PhaseAwareLoadBalancer", "PhaseBalanceReport"]
 
@@ -98,7 +98,7 @@ class PhaseAwareLoadBalancer:
         self.accountant = EnergyAccountant(self.power_model)
 
     # ------------------------------------------------------------------
-    def assign_phases(self, trace: "Trace") -> dict[str, FrequencyAssignment]:
+    def assign_phases(self, trace: "ColumnarTrace") -> dict[str, FrequencyAssignment]:
         from repro.traces.analysis import compute_times_by_phase
 
         phases = compute_times_by_phase(trace)
@@ -112,13 +112,13 @@ class PhaseAwareLoadBalancer:
         return out
 
     def _rewrite(
-        self, trace: "Trace", assignments: dict[str, FrequencyAssignment]
-    ) -> "Trace":
+        self, trace: "ColumnarTrace", assignments: dict[str, FrequencyAssignment]
+    ) -> "ColumnarTrace":
+        from repro.traces.columnar import ColumnarTrace
         from repro.traces.records import ComputeBurst
-        from repro.traces.trace import Trace
 
         model = self.time_model
-        out = Trace(trace.nproc, meta=dict(trace.meta))
+        streams = []
         for stream in trace:
             new_records = []
             for rec in stream:
@@ -131,12 +131,12 @@ class PhaseAwareLoadBalancer:
                             rec.duration * model.ratio(f, beta), phase=rec.phase
                         )
                 new_records.append(rec)
-            out[stream.rank].records = new_records
-        return out
+            streams.append(new_records)
+        return ColumnarTrace.from_streams(streams, meta=trace.meta)
 
     def _resting_gears(
         self,
-        trace: "Trace",
+        trace: "ColumnarTrace",
         assignments: dict[str, FrequencyAssignment],
         nominal: Gear,
     ) -> tuple[Gear, ...]:
@@ -161,7 +161,7 @@ class PhaseAwareLoadBalancer:
         return tuple(gears)
 
     # ------------------------------------------------------------------
-    def balance_trace(self, trace: "Trace") -> PhaseBalanceReport:
+    def balance_trace(self, trace: "ColumnarTrace") -> PhaseBalanceReport:
         nominal = self.power_model.law.gear(self.time_model.fmax)
         pm = self.power_model
 

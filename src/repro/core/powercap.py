@@ -62,7 +62,7 @@ from repro.core.power import CpuPowerModel, CpuState
 from repro.core.timemodel import BetaTimeModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.traces.trace import Trace
+    from repro.traces.columnar import ColumnarTrace
 
 __all__ = [
     "PowerCapAlgorithm",
@@ -403,12 +403,12 @@ class PowerCapBalancer:
         )
 
     # ------------------------------------------------------------------
-    def balance_trace(self, trace: "Trace") -> BalanceReport:
+    def balance_trace(self, trace: "ColumnarTrace") -> BalanceReport:
         """One capped balance, priced through the batched sweep API."""
         return self.cap_sweep_trace(trace, [self.cap])[0]
 
     def cap_sweep_trace(
-        self, trace: "Trace", caps: Sequence[float]
+        self, trace: "ColumnarTrace", caps: Sequence[float]
     ) -> list[BalanceReport]:
         """One report per budget, all priced in a single batched pass."""
         from repro.core.batchbalance import SweepCandidate

@@ -345,11 +345,10 @@ def run_lint(args: argparse.Namespace) -> int:
                 if kind == "trace":
                     from repro.traces.jsonio import read_trace
 
-                    # columnar load: lints at any rank count without
-                    # materialising record objects; binary stores are
-                    # opened memory-mapped so even the columns stay
-                    # out of core
-                    trace = read_trace(path, columnar=True, mmap=True)
+                    # lints at any rank count without materialising
+                    # record objects; binary stores are opened
+                    # memory-mapped so even the columns stay out of core
+                    trace = read_trace(path, mmap=True)
                     trace.validate()
                     diagnostics += lint_trace_subject(
                         trace, platform, path, config

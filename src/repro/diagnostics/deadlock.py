@@ -1,10 +1,10 @@
 """Static deadlock analysis of a trace's message-passing structure.
 
-The trace linter's historical W003 compared per-pair send/recv *counts*
-— a heuristic that misses ordering deadlocks (two ranks that
+The pair-count rule TR003 compares per-pair send/recv *counts* — a
+heuristic that misses ordering deadlocks (two ranks that
 rendezvous-send to each other head-to-head have perfectly matched
-counts) and false-positives on wildcard traffic.  This module replaces
-the heuristic with an abstract replay of MPI matching semantics:
+counts) and false-positives on wildcard traffic.  This module backs
+TR008–TR010 with an abstract replay of MPI matching semantics:
 
 * eager sends (``nbytes <= eager_threshold``) complete immediately and
   deposit an envelope at the destination;
@@ -29,39 +29,34 @@ can advance, the wait-for graph over the blocked ranks is built and
 A trace that completes but leaves eager envelopes unconsumed is also
 reported: those are sent-but-never-received messages.
 
-Two replay backends share one matcher and one post-mortem: the record
-backend steps per-rank ``Record`` lists, and the columnar backend
-(:class:`_ColumnarReplay`) steps the pooled numpy columns of a
-:class:`~repro.traces.columnar.ColumnarTrace` directly.  The columnar
-backend pre-filters local events (compute, marker) in one vectorised
-pass — only communication events exist as Python state — so a 32k-rank
-world replays without materialising a single record object, while the
-pass order, matching schedule and every report string stay identical to
-the record backend.
+The replay steps the pooled numpy columns of a
+:class:`~repro.traces.columnar.ColumnarTrace` directly.  One vectorised
+pass pre-filters local events (compute, marker) — only communication
+events exist as Python state — so a 32k-rank world replays without
+materialising a single record object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
-from repro.netsim.platform import PlatformConfig
-from repro.traces.records import (
-    ANY_SOURCE,
-    ANY_TAG,
-    COLLECTIVE_OPS,
-    CollectiveRecord,
-    ComputeBurst,
-    IrecvRecord,
-    IsendRecord,
-    MarkerRecord,
-    RecvRecord,
-    Record,
-    SendRecord,
-    WaitRecord,
-    WaitallRecord,
+import numpy as np
+
+from repro.netsim.platform import MYRINET_LIKE, PlatformConfig
+from repro.traces.columnar import (
+    K_COLLECTIVE,
+    K_COMPUTE,
+    K_IRECV,
+    K_ISEND,
+    K_MARKER,
+    K_RECV,
+    K_SEND,
+    K_WAIT,
+    K_WAITALL,
+    KIND_NAMES,
+    ColumnarTrace,
 )
-from repro.traces.trace import Trace
+from repro.traces.records import ANY_SOURCE, ANY_TAG, COLLECTIVE_OPS
 
 __all__ = ["BlockedRank", "DeadlockReport", "analyze_deadlock"]
 
@@ -123,19 +118,38 @@ class _PostedRecv:
     token: _Token
 
 
-class _ReplayBase:
-    """Matcher, run loop and post-mortem shared by both backends.
+@dataclass
+class _RankState:
+    """Cursor of one rank over the compacted communication-event lists."""
 
-    A backend provides ``_step(rank)``, ``_is_done(rank)``,
-    ``_block_index(rank)`` and ``_waits_on(rank)``; everything else —
-    FIFO matching, the progress loop, SCC extraction and report assembly
-    — lives here, which is what keeps the two representations'
-    ``DeadlockReport``s identical field for field.
+    pos: int  # absolute index into the flat comm-event lists
+    stop: int
+    issued_pos: int = -1
+    block_token: _Token | None = None
+    requests: dict[int, tuple[str, int, _Token]] = field(default_factory=dict)
+    coll_index: int = 0
+
+    @property
+    def done(self) -> bool:
+        return self.pos >= self.stop
+
+
+class _Replay:
+    """The abstract replay over a trace's pooled columns.
+
+    One vectorised pass drops local events (compute, marker) and lifts
+    the surviving communication events into flat Python lists — kind
+    code, peer, tag, request id/count, reqpool offset, a precomputed
+    eager flag, and the original within-rank record index (so blocked
+    reports cite record numbers of the rank's full stream).  Each pass
+    steps ranks in rank order against a FIFO matcher, which makes the
+    schedule — and with it every description, cycle and mismatch
+    string — deterministic.
     """
 
-    def __init__(self, nproc: int, platform: PlatformConfig):
+    def __init__(self, trace: ColumnarTrace, platform: PlatformConfig):
         self.platform = platform
-        self.nproc = nproc
+        self.nproc = nproc = trace.nproc
         self.envelopes: list[list[_Envelope]] = [[] for _ in range(nproc)]
         self.posted: list[list[_PostedRecv]] = [[] for _ in range(nproc)]
         self.seq = 0
@@ -143,6 +157,26 @@ class _ReplayBase:
         self.coll_ops: dict[int, tuple[str, int]] = {}
         self.coll_released: set[int] = set()
         self.coll_mismatches: list[tuple[int, str]] = []
+        kind = trace.kind
+        comm = np.flatnonzero((kind != K_COMPUTE) & (kind != K_MARKER))
+        offsets = trace.offsets
+        ranks_of = np.searchsorted(offsets, comm, side="right") - 1
+        bounds = np.searchsorted(ranks_of, np.arange(nproc + 1))
+        self.kindl = kind[comm].tolist()
+        self.peerl = trace.peer[comm].tolist()
+        self.tagl = trace.tag[comm].tolist()
+        self.reql = trace.req[comm].tolist()
+        self.auxl = trace.aux[comm].tolist()
+        self.opl = trace.collop[comm].tolist()
+        self.eagerl = (
+            trace.size[comm] <= platform.eager_threshold
+        ).tolist()
+        self.recl = (comm - offsets[ranks_of]).tolist()
+        self.reqpool = trace.reqpool.tolist()
+        self.ranks = [
+            _RankState(pos=int(bounds[r]), stop=int(bounds[r + 1]))
+            for r in range(nproc)
+        ]
 
     # -- matching ------------------------------------------------------
     def _next_seq(self) -> int:
@@ -192,20 +226,6 @@ class _ReplayBase:
             )
         if len(arrived) == self.nproc:
             self.coll_released.add(k)
-
-    # -- backend hooks -------------------------------------------------
-    def _step(self, rank: int) -> bool:
-        raise NotImplementedError
-
-    def _is_done(self, rank: int) -> bool:
-        raise NotImplementedError
-
-    def _block_index(self, rank: int) -> int:
-        """Record index (within the rank) of the blocking operation."""
-        raise NotImplementedError
-
-    def _waits_on(self, rank: int) -> tuple[str, tuple[int, ...]]:
-        raise NotImplementedError
 
     def _not_done_peers(self, rank: int) -> tuple[int, ...]:
         return tuple(
@@ -295,237 +315,12 @@ class _ReplayBase:
             collective_mismatches=tuple(self.coll_mismatches),
         )
 
-
-@dataclass
-class _RankState:
-    records: list[Record]
-    pc: int = 0
-    issued_pc: int = -1  # pc whose posting side effects already ran
-    block_token: _Token | None = None
-    requests: dict[int, tuple[str, int, _Token]] = field(default_factory=dict)
-    coll_index: int = 0
-
-    @property
-    def done(self) -> bool:
-        return self.pc >= len(self.records)
-
-
-class _Replay(_ReplayBase):
-    """Record-object backend: steps per-rank ``Record`` lists."""
-
-    def __init__(self, trace: Trace, platform: PlatformConfig):
-        super().__init__(trace.nproc, platform)
-        self.ranks = [_RankState(list(stream)) for stream in trace]
-
-    # -- per-record stepping -------------------------------------------
-    def _step(self, rank: int) -> bool:
-        """Try to retire the current record of ``rank``; True on advance."""
-        state = self.ranks[rank]
-        if state.done:
-            return False
-        rec = state.records[state.pc]
-        first = state.issued_pc != state.pc
-
-        if isinstance(rec, (ComputeBurst, MarkerRecord)):
-            state.pc += 1
-            return True
-
-        if isinstance(rec, SendRecord):
-            if rec.nbytes <= self.platform.eager_threshold:
-                self._deliver(
-                    rec.dst,
-                    _Envelope(self._next_seq(), rank, rec.tag, False, None),
-                )
-                state.pc += 1
-                return True
-            if first:
-                token = _Token()
-                state.block_token = token
-                state.issued_pc = state.pc
-                self._deliver(
-                    rec.dst,
-                    _Envelope(self._next_seq(), rank, rec.tag, True, token),
-                )
-            assert state.block_token is not None
-            if state.block_token.matched:
-                state.block_token = None
-                state.pc += 1
-                return True
-            return False
-
-        if isinstance(rec, IsendRecord):
-            token = _Token()
-            eager = rec.nbytes <= self.platform.eager_threshold
-            if eager:
-                token.matched = True  # locally complete at once
-            self._deliver(
-                rec.dst,
-                _Envelope(
-                    self._next_seq(), rank, rec.tag, not eager,
-                    None if eager else token,
-                ),
-            )
-            state.requests[rec.request] = ("isend", rec.dst, token)
-            state.pc += 1
-            return True
-
-        if isinstance(rec, RecvRecord):
-            if first:
-                token = _Token()
-                state.block_token = token
-                state.issued_pc = state.pc
-                self._post_recv(
-                    rank, _PostedRecv(self._next_seq(), rec.src, rec.tag, token)
-                )
-            assert state.block_token is not None
-            if state.block_token.matched:
-                state.block_token = None
-                state.pc += 1
-                return True
-            return False
-
-        if isinstance(rec, IrecvRecord):
-            token = _Token()
-            self._post_recv(
-                rank, _PostedRecv(self._next_seq(), rec.src, rec.tag, token)
-            )
-            state.requests[rec.request] = ("irecv", rec.src, token)
-            state.pc += 1
-            return True
-
-        if isinstance(rec, (WaitRecord, WaitallRecord)):
-            requests = (
-                (rec.request,)
-                if isinstance(rec, WaitRecord)
-                else tuple(rec.requests)
-            )
-            pending = [
-                r for r in requests
-                if r in state.requests and not state.requests[r][2].matched
-            ]
-            if pending:
-                return False
-            for r in requests:
-                state.requests.pop(r, None)
-            state.pc += 1
-            return True
-
-        if isinstance(rec, CollectiveRecord):
-            k = state.coll_index
-            if first:
-                state.issued_pc = state.pc
-                self._arrive_collective(rank, k, rec.op)
-            if k in self.coll_released:
-                state.coll_index += 1
-                state.pc += 1
-                return True
-            return False
-
-        raise TypeError(f"unknown record type {type(rec).__name__}")
-
-    # -- post-mortem hooks ---------------------------------------------
-    def _is_done(self, rank: int) -> bool:
-        return self.ranks[rank].done
-
-    def _block_index(self, rank: int) -> int:
-        return self.ranks[rank].pc
-
-    def _waits_on(self, rank: int) -> tuple[str, tuple[int, ...]]:
-        """(description, rank targets) of a blocked rank's current record."""
-        state = self.ranks[rank]
-        rec = state.records[state.pc]
-        if isinstance(rec, SendRecord):
-            return f"rendezvous send to rank {rec.dst}", (rec.dst,)
-        if isinstance(rec, RecvRecord):
-            if rec.src == ANY_SOURCE:
-                return "recv from any source", self._not_done_peers(rank)
-            return f"recv from rank {rec.src}", (rec.src,)
-        if isinstance(rec, (WaitRecord, WaitallRecord)):
-            requests = (
-                (rec.request,)
-                if isinstance(rec, WaitRecord)
-                else tuple(rec.requests)
-            )
-            return self._request_waits(
-                requests, state.requests, self._not_done_peers(rank)
-            )
-        if isinstance(rec, CollectiveRecord):
-            return self._collective_waits(rank, state.coll_index, rec.op)
-        return f"{rec.kind}", ()
-
-
-@dataclass
-class _ColumnarRankState:
-    """Cursor of one rank over the compacted communication-event lists."""
-
-    pos: int  # absolute index into the flat comm-event lists
-    stop: int
-    issued_pos: int = -1
-    block_token: _Token | None = None
-    requests: dict[int, tuple[str, int, _Token]] = field(default_factory=dict)
-    coll_index: int = 0
-
-    @property
-    def done(self) -> bool:
-        return self.pos >= self.stop
-
-
-class _ColumnarReplay(_ReplayBase):
-    """Columnar backend: steps pooled numpy columns, no record objects.
-
-    One vectorised pass drops local events (compute, marker) and lifts
-    the surviving communication events into flat Python lists — kind
-    code, peer, tag, request id/count, reqpool offset, a precomputed
-    eager flag, and the original within-rank record index (so blocked
-    reports cite the same record numbers as the record backend).  The
-    per-pass rank order and the FIFO matcher are inherited unchanged,
-    which makes the replay schedule — and with it every description,
-    cycle and mismatch string — identical to the record backend's.
-    """
-
-    def __init__(self, trace: Any, platform: PlatformConfig):
-        import numpy as np
-
-        from repro.traces.columnar import K_COMPUTE, K_MARKER
-
-        super().__init__(trace.nproc, platform)
-        kind = trace.kind
-        comm = np.flatnonzero((kind != K_COMPUTE) & (kind != K_MARKER))
-        offsets = trace.offsets
-        ranks_of = np.searchsorted(offsets, comm, side="right") - 1
-        bounds = np.searchsorted(ranks_of, np.arange(self.nproc + 1))
-        self.kindl = kind[comm].tolist()
-        self.peerl = trace.peer[comm].tolist()
-        self.tagl = trace.tag[comm].tolist()
-        self.reql = trace.req[comm].tolist()
-        self.auxl = trace.aux[comm].tolist()
-        self.opl = trace.collop[comm].tolist()
-        self.eagerl = (
-            trace.size[comm] <= platform.eager_threshold
-        ).tolist()
-        self.recl = (comm - offsets[ranks_of]).tolist()
-        self.reqpool = trace.reqpool.tolist()
-        self.ranks = [
-            _ColumnarRankState(pos=int(bounds[r]), stop=int(bounds[r + 1]))
-            for r in range(self.nproc)
-        ]
-
     def _waitall_requests(self, i: int) -> tuple[int, ...]:
         lo = self.auxl[i]
         return tuple(self.reqpool[lo:lo + self.reql[i]])
 
     # -- per-event stepping --------------------------------------------
     def _step(self, rank: int) -> bool:
-        from repro.traces.columnar import (
-            K_COLLECTIVE,
-            K_IRECV,
-            K_ISEND,
-            K_RECV,
-            K_SEND,
-            K_WAIT,
-            K_WAITALL,
-        )
-
         state = self.ranks[rank]
         if state.done:
             return False
@@ -637,7 +432,7 @@ class _ColumnarReplay(_ReplayBase):
 
         raise TypeError(f"unknown kind code {k}")
 
-    # -- post-mortem hooks ---------------------------------------------
+    # -- post-mortem -------------------------------------------------
     def _is_done(self, rank: int) -> bool:
         return self.ranks[rank].done
 
@@ -645,15 +440,6 @@ class _ColumnarReplay(_ReplayBase):
         return self.recl[self.ranks[rank].pos]
 
     def _waits_on(self, rank: int) -> tuple[str, tuple[int, ...]]:
-        from repro.traces.columnar import (
-            K_COLLECTIVE,
-            K_RECV,
-            K_SEND,
-            K_WAIT,
-            K_WAITALL,
-            KIND_NAMES,
-        )
-
         state = self.ranks[rank]
         i = state.pos
         k = self.kindl[i]
@@ -731,26 +517,15 @@ def _cycles(edges: dict[int, tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
 
 
 def analyze_deadlock(
-    trace: Any, platform: PlatformConfig | None = None
+    trace: ColumnarTrace, platform: PlatformConfig | None = None
 ) -> DeadlockReport:
     """Run the abstract replay and summarise blocking structure.
 
-    Dispatches on the storage representation: columnar traces replay on
-    their pooled columns (no record materialisation), record traces on
-    their ``Record`` lists; the two backends share schedule, matcher and
-    report assembly, so their reports are identical.  The result is
-    conservative under wildcard receives (matching is resolved FIFO, one
-    of the legal schedules); traces with any-source traffic are
-    separately flagged by rule TR004.
+    The replay runs on the trace's pooled columns (no record
+    materialisation).  The result is conservative under wildcard
+    receives (matching is resolved FIFO, one of the legal schedules);
+    traces with any-source traffic are separately flagged by rule TR004.
     """
-    from repro.diagnostics.traceview import is_columnar
-    from repro.netsim.platform import MYRINET_LIKE
-
-    platform = platform or MYRINET_LIKE
-    replay: _ReplayBase
-    if is_columnar(trace):
-        replay = _ColumnarReplay(trace, platform)
-    else:
-        replay = _Replay(trace, platform)
+    replay = _Replay(trace, platform or MYRINET_LIKE)
     replay.run()
     return replay.report()

@@ -26,7 +26,8 @@ DT004  ERROR     writable memory-mapped buffer in kernel code — mapped
 Conventions the rules encode (mirrored in ``docs/diagnostics.md``):
 
 * Durations are summed left-to-right (``sum(seg[mask].tolist())`` is the
-  columnar idiom) so record and columnar paths agree to the last bit;
+  columnar idiom) so the DES, the compiled kernel and the analyses agree
+  to the last bit;
   ``np.sum`` pairwise-sums and ``math.fsum`` compensates — both produce
   different bits on the same data.
 * ``sorted(...)`` launders a set: iterating ``sorted(set(...))`` is
@@ -186,8 +187,9 @@ def _dt001(ctx: SourceContext, make: Maker) -> Iterator[Diagnostic]:
         duration_args = any(_mentions_duration(arg) for arg in node.args)
         if resolved == "numpy.sum" and duration_args:
             yield make(
-                "np.sum over durations is pairwise summation: record "
-                "and columnar paths will disagree in the last bits",
+                "np.sum over durations is pairwise summation: it "
+                "disagrees with the pinned left-to-right sum() in the "
+                "last bits",
                 subject=ctx.subject,
                 index=node.lineno,
             )

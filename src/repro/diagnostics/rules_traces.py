@@ -1,8 +1,7 @@
 """Trace rule pack (codes ``TR...``).
 
-TR001–TR007 migrate the historical advisory linter (W001–W007 of
-``repro.traces.lint``); TR008–TR010 are new, backed by the static
-deadlock analysis of :mod:`repro.diagnostics.deadlock`:
+TR001–TR007 are the advisory trace checks; TR008–TR010 are backed by
+the static deadlock analysis of :mod:`repro.diagnostics.deadlock`:
 
 =====  ========  ========================================================
 code   severity  finding
@@ -20,10 +19,9 @@ TR010  ERROR     ranks disagree on collective operation order
 =====  ========  ========================================================
 
 Every rule reads the trace through the accessor layer of
-:mod:`repro.diagnostics.traceview`, so one rule body serves both
-record-object and columnar storage — a :class:`ColumnarTrace` subject is
-analysed directly on its numpy columns with no record materialisation,
-and the two representations produce diagnostic-identical output.
+:mod:`repro.diagnostics.traceview`, so a
+:class:`~repro.traces.columnar.ColumnarTrace` subject is analysed
+directly on its numpy columns, with no record materialisation.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from typing import Any
 from repro.diagnostics.deadlock import DeadlockReport, analyze_deadlock
 from repro.diagnostics.model import Diagnostic, Severity
 from repro.diagnostics.registry import Maker, rule
-from repro.diagnostics.traceview import make_view
+from repro.diagnostics.traceview import ColumnarTraceView
 from repro.netsim.platform import MYRINET_LIKE, PlatformConfig
 
 __all__ = ["TraceContext"]
@@ -44,11 +42,9 @@ __all__ = ["TraceContext"]
 class TraceContext:
     """What the trace rules see: the trace, the platform, a subject name.
 
-    ``trace`` may be a record-object :class:`~repro.traces.trace.Trace`
-    or a :class:`~repro.traces.columnar.ColumnarTrace`; the ``view``
-    accessor backend and the deadlock analysis both dispatch on the
-    representation.  The deadlock analysis is shared by TR008/TR009/
-    TR010 and computed at most once per context.
+    ``trace`` is a :class:`~repro.traces.columnar.ColumnarTrace`.  The
+    deadlock analysis is shared by TR008/TR009/TR010 and computed at
+    most once per context.
     """
 
     def __init__(
@@ -62,8 +58,8 @@ class TraceContext:
         self.subject = subject if subject is not None else trace.name
 
     @cached_property
-    def view(self):
-        return make_view(self.trace)
+    def view(self) -> ColumnarTraceView:
+        return ColumnarTraceView(self.trace)
 
     @cached_property
     def deadlock(self) -> DeadlockReport:

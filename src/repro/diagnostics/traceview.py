@@ -1,166 +1,28 @@
-"""Representation-agnostic trace accessors for the trace rule pack.
+"""Vectorised trace accessors for the trace rule pack.
 
-The TR rules (:mod:`repro.diagnostics.rules_traces`) are written against
-this small accessor interface instead of iterating record objects, so
-one rule body serves both storage representations:
+The TR rules (:mod:`repro.diagnostics.rules_traces`) read a trace
+through this small accessor interface: :class:`ColumnarTraceView`
+evaluates each query as numpy expressions over the pooled columns of a
+:class:`~repro.traces.columnar.ColumnarTrace`, so no record object is
+ever materialised and linting scales to any rank count.
 
-* :class:`RecordTraceView` walks per-rank ``Record`` lists exactly the
-  way the historical rules did;
-* :class:`ColumnarTraceView` evaluates the same queries as vectorised
-  numpy expressions over the pooled columns of a
-  :class:`~repro.traces.columnar.ColumnarTrace` — no record object is
-  ever materialised.
-
-Every accessor returns plain Python values (ints, tuples, dicts) with
-the exact content and ordering of the record path, which is what makes
-record and columnar lint output diagnostic-identical (pinned by the
-property suite in ``tests/test_lint_columnar.py``).
+Every accessor returns plain Python values (ints, tuples, dicts) whose
+content and order match a per-record walk of the ranks' streams in
+program order — the oracle ``tests/test_lint_columnar.py`` checks them
+against, query by query.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.traces.records import (
-    ANY_SOURCE,
-    COLLECTIVE_OPS,
-    CollectiveRecord,
-    ComputeBurst,
-    IrecvRecord,
-    IsendRecord,
-    MarkerRecord,
-    RecvRecord,
-    SendRecord,
-)
+from repro.traces.records import ANY_SOURCE, COLLECTIVE_OPS
 
-__all__ = ["ColumnarTraceView", "RecordTraceView", "is_columnar", "make_view"]
-
-
-def is_columnar(trace: Any) -> bool:
-    """True for column-pool storage (duck-typed on the CSR layout)."""
-    return hasattr(trace, "offsets") and hasattr(trace, "kind")
-
-
-def make_view(trace: Any) -> "RecordTraceView | ColumnarTraceView":
-    """The accessor backend matching the trace's storage representation."""
-    if is_columnar(trace):
-        return ColumnarTraceView(trace)
-    return RecordTraceView(trace)
-
-
-class RecordTraceView:
-    """Accessors over per-rank record lists (the historical code paths)."""
-
-    def __init__(self, trace: Any):
-        self.trace = trace
-        self.nproc = trace.nproc
-
-    def has_iteration_markers(self) -> bool:
-        """Any ``MarkerRecord`` with ``iteration >= 0`` on rank 0."""
-        return any(
-            isinstance(rec, MarkerRecord) and rec.iteration >= 0
-            for rec in self.trace[0]
-        )
-
-    def silent_ranks(self) -> list[int]:
-        """Ranks whose total compute time is exactly zero."""
-        return [
-            stream.rank
-            for stream in self.trace
-            if stream.compute_time() == 0.0
-        ]
-
-    def pair_counts(
-        self,
-    ) -> tuple[
-        dict[tuple[int, int], int], dict[tuple[int, int], int], set[int]
-    ]:
-        """(send counts, recv counts, wildcard-recv ranks) by (src, dst)."""
-        sends: dict[tuple[int, int], int] = {}
-        recvs: dict[tuple[int, int], int] = {}
-        wildcard_recv_ranks: set[int] = set()
-        for stream in self.trace:
-            for rec in stream:
-                if isinstance(rec, (SendRecord, IsendRecord)):
-                    key = (stream.rank, rec.dst)
-                    sends[key] = sends.get(key, 0) + 1
-                elif isinstance(rec, (RecvRecord, IrecvRecord)):
-                    if rec.src == ANY_SOURCE:
-                        wildcard_recv_ranks.add(stream.rank)
-                        continue  # cannot be attributed to a pair
-                    key = (rec.src, stream.rank)
-                    recvs[key] = recvs.get(key, 0) + 1
-        return sends, recvs, wildcard_recv_ranks
-
-    def wildcard_recv_counts(self) -> list[tuple[int, int]]:
-        """(rank, count) of any-source receives, count > 0, rank order."""
-        out = []
-        for stream in self.trace:
-            n = sum(
-                1
-                for rec in stream
-                if isinstance(rec, (RecvRecord, IrecvRecord))
-                and rec.src == ANY_SOURCE
-            )
-            if n:
-                out.append((stream.rank, n))
-        return out
-
-    def eager_cliff_counts(self, threshold: int) -> list[tuple[int, int]]:
-        """(rank, count) of sends in ``(threshold, int(threshold*1.1)]``."""
-        out = []
-        for stream in self.trace:
-            n = sum(
-                1
-                for rec in stream
-                if isinstance(rec, (SendRecord, IsendRecord))
-                and threshold < rec.nbytes <= int(threshold * 1.1)
-            )
-            if n:
-                out.append((stream.rank, n))
-        return out
-
-    def collective_alignment(
-        self,
-    ) -> tuple[list[str], list[list[int]]]:
-        """Rank 0's collective op names and, per collective index of rank
-        0, the contribution sizes of every rank reaching that index (rank
-        order)."""
-        sequences = [
-            [rec for rec in stream if isinstance(rec, CollectiveRecord)]
-            for stream in self.trace
-        ]
-        if not sequences or not sequences[0]:
-            return [], []
-        ops0 = [rec.op for rec in sequences[0]]
-        sizes = [
-            [seq[idx].nbytes for seq in sequences if idx < len(seq)]
-            for idx in range(len(sequences[0]))
-        ]
-        return ops0, sizes
-
-    def tiny_burst_counts(
-        self, latency: float
-    ) -> list[tuple[int, int, int]]:
-        """(rank, bursts shorter than latency, stream length), all ranks."""
-        out = []
-        for stream in self.trace:
-            tiny = sum(
-                1
-                for rec in stream
-                if isinstance(rec, ComputeBurst)
-                and 0.0 < rec.duration < latency
-            )
-            out.append((stream.rank, tiny, len(stream)))
-        return out
+__all__ = ["ColumnarTraceView"]
 
 
 class ColumnarTraceView:
-    """The same queries as vectorised expressions over pooled columns.
-
-    Outputs are value- and order-identical to :class:`RecordTraceView`
-    on the equivalent trace; no ``Record`` objects are materialised.
-    """
+    """The trace rules' queries as vectorised expressions over columns."""
 
     def __init__(self, trace: Any):
         self.trace = trace
@@ -176,6 +38,7 @@ class ColumnarTraceView:
         )
 
     def has_iteration_markers(self) -> bool:
+        """Any marker with ``iteration >= 0`` on rank 0."""
         import numpy as np
 
         from repro.traces.columnar import K_MARKER
@@ -186,6 +49,7 @@ class ColumnarTraceView:
         return bool(np.any((k == K_MARKER) & (t.aux[lo:hi] >= 0)))
 
     def silent_ranks(self) -> list[int]:
+        """Ranks whose total compute time is exactly zero."""
         import numpy as np
 
         from repro.traces.columnar import K_COMPUTE
@@ -203,6 +67,7 @@ class ColumnarTraceView:
     ) -> tuple[
         dict[tuple[int, int], int], dict[tuple[int, int], int], set[int]
     ]:
+        """(send counts, recv counts, wildcard-recv ranks) by (src, dst)."""
         import numpy as np
 
         from repro.traces.columnar import K_IRECV, K_ISEND, K_RECV, K_SEND
@@ -235,6 +100,7 @@ class ColumnarTraceView:
         return sends, recvs, wildcard_recv_ranks
 
     def wildcard_recv_counts(self) -> list[tuple[int, int]]:
+        """(rank, count) of any-source receives, count > 0, rank order."""
         import numpy as np
 
         from repro.traces.columnar import K_IRECV, K_RECV
@@ -250,6 +116,7 @@ class ColumnarTraceView:
         ]
 
     def eager_cliff_counts(self, threshold: int) -> list[tuple[int, int]]:
+        """(rank, count) of sends in ``(threshold, int(threshold*1.1)]``."""
         import numpy as np
 
         from repro.traces.columnar import K_ISEND, K_SEND
@@ -271,6 +138,9 @@ class ColumnarTraceView:
     def collective_alignment(
         self,
     ) -> tuple[list[str], list[list[int]]]:
+        """Rank 0's collective op names and, per collective index of rank
+        0, the contribution sizes of every rank reaching that index (rank
+        order)."""
         import numpy as np
 
         from repro.traces.columnar import K_COLLECTIVE
@@ -305,6 +175,7 @@ class ColumnarTraceView:
     def tiny_burst_counts(
         self, latency: float
     ) -> list[tuple[int, int, int]]:
+        """(rank, bursts shorter than latency, stream length), all ranks."""
         import numpy as np
 
         from repro.traces.columnar import K_COMPUTE

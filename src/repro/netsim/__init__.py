@@ -1,10 +1,10 @@
 """Dimemas-equivalent MPI replay simulator.
 
-Replays a :class:`repro.traces.Trace` (or runs live rank programs) on a
-configurable platform model: latency/bandwidth network with optional bus
-contention, eager/rendezvous point-to-point protocols, analytic
-collective cost models, and per-rank CPU frequency scaling through the
-β time model.
+Replays a :class:`repro.traces.ColumnarTrace` (or runs live rank
+programs) on a configurable platform model: latency/bandwidth network
+with optional bus contention, eager/rendezvous point-to-point protocols,
+analytic collective cost models, and per-rank CPU frequency scaling
+through the β time model.
 
 * :class:`~repro.netsim.platform.PlatformConfig` — the machine;
 * :class:`~repro.netsim.simulator.MpiSimulator` — the simulator;

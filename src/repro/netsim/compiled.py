@@ -77,7 +77,6 @@ from repro.traces.columnar import (
     ColumnarTrace,
 )
 from repro.traces.records import COLLECTIVE_OPS, Record
-from repro.traces.trace import Trace
 
 __all__ = [
     "CompileError",
@@ -401,12 +400,11 @@ def compile_world(
     platform: PlatformConfig | None = None,
     time_model: BetaTimeModel | None = None,
 ) -> "CompiledProgram":
-    """Compile one record-object world into a :class:`CompiledProgram`.
+    """Compile per-rank record programs into a :class:`CompiledProgram`.
 
-    Lowers the rank programs to columnar form and hands off to the one
-    shared compile core (:func:`compile_columnar_world` enters the same
-    core directly), so the two storage representations compile to the
-    same tape by construction.
+    Lowers the rank programs to a :class:`ColumnarTrace` and hands off
+    to :func:`compile_columnar_world`'s compile core, so record programs
+    and their recorded trace compile to the same tape by construction.
 
     Raises :class:`UnsupportedWorldError` when the world needs the DES
     (see the module capability matrix) and :class:`CompileError` when
@@ -423,7 +421,7 @@ def compile_world(
         world = ColumnarTrace.from_streams(mats)
     except ValueError as exc:
         raise CompileError(str(exc)) from None
-    return _compile_columns(world, platform, time_model, mats)
+    return _compile_columns(world, platform, time_model)
 
 
 def compile_columnar_world(
@@ -440,20 +438,15 @@ def compile_columnar_world(
     platform = platform or MYRINET_LIKE
     time_model = time_model or BetaTimeModel(fmax=2.3)
     _check_platform(platform)
-    return _compile_columns(world, platform, time_model, world)
+    return _compile_columns(world, platform, time_model)
 
 
 def _compile_columns(
     world: ColumnarTrace,
     platform: PlatformConfig,
     time_model: BetaTimeModel,
-    programs: "list[list[Record]] | ColumnarTrace",
 ) -> "CompiledProgram":
-    """The one compile core: columns in, instruction tape out.
-
-    ``programs`` is whatever representation the caller wants kept for
-    DES cross-validation (:meth:`CompiledProgram.assert_equivalent`).
-    """
+    """The one compile core: columns in, instruction tape out."""
     nproc = world.nproc
     offsets = world.offsets.tolist()   # nproc+1 entries; never event-sized
     kinds = world.kind
@@ -782,7 +775,7 @@ def _compile_columns(
         wire_eager=ch.wire_eager,
         wire_rdv=ch.wire_rdv,
         coll_costs=coll_costs,
-        programs=programs,
+        world=world,
     )
 
 
@@ -805,9 +798,7 @@ class CompiledProgram:
     arguments per instruction (~9 B), with wait join lists, marker
     payloads and burst constants in flat side pools — the tuple tape it
     replaced cost ~20× that in boxed objects, which mattered once
-    100k-rank worlds stopped paying for column copies.  The legacy
-    tuple view is still available as :attr:`instrs` (materialised
-    lazily; tests and debuggers read it, the evaluators never do).
+    100k-rank worlds stopped paying for column copies.
     """
 
     def __init__(
@@ -829,7 +820,7 @@ class CompiledProgram:
         wire_eager: array,
         wire_rdv: array,
         coll_costs: array,
-        programs: "list[list[Record]] | ColumnarTrace",
+        world: ColumnarTrace,
     ):
         self.nproc = nproc
         self.platform = platform
@@ -848,8 +839,7 @@ class CompiledProgram:
         self._wire_eager = wire_eager
         self._wire_rdv = wire_rdv
         self._coll_costs = coll_costs
-        self._programs = programs
-        self._instrs_cache: tuple[tuple[Any, ...], ...] | None = None
+        self._world = world
         # numpy constant pools for the batch VM (views, not copies)
         self._np_dur = _pool_view(dur, float)
         self._np_beta = _pool_view(beta, float)
@@ -858,40 +848,6 @@ class CompiledProgram:
     @property
     def n_instructions(self) -> int:
         return len(self._codes)
-
-    @property
-    def instrs(self) -> tuple[tuple[Any, ...], ...]:
-        """The tape as legacy instruction tuples (lazy; debug/tests)."""
-        cached = self._instrs_cache
-        if cached is None:
-            cached = self._materialise_instrs()
-            self._instrs_cache = cached
-        return cached
-
-    def _materialise_instrs(self) -> tuple[tuple[Any, ...], ...]:
-        codes, a1, a2 = self._codes, self._arg1, self._arg2
-        woff, wkind, wslot = self._wait_off, self._wait_kind, self._wait_slot
-        mlabel, miter = self._marker_label, self._marker_iter
-        out: list[tuple[Any, ...]] = []
-        for i in range(len(codes)):
-            code = codes[i]
-            if code == _WAIT:
-                wid = a2[i]
-                vals = tuple(
-                    (wkind[j], wslot[j])
-                    for j in range(woff[wid], woff[wid + 1])
-                )
-                out.append((code, a1[i], vals))
-            elif code == _MARKER:
-                mid = a2[i]
-                out.append((code, a1[i], mlabel[mid], miter[mid]))
-            elif code == _COLL:
-                out.append((code, a1[i]))
-            elif code == _IRECV_EAGER:
-                out.append((code, a1[i]))
-            else:
-                out.append((code, a1[i], a2[i]))
-        return tuple(out)
 
     # ------------------------------------------------------------------
     def _normalize(self, frequencies: Any) -> np.ndarray | None:
@@ -1201,7 +1157,7 @@ class CompiledProgram:
     ) -> RunResult:
         """Validation mode: cross-check this program against the DES.
 
-        Replays the compiled world's source programs through
+        Replays the compiled world's source trace through
         :class:`~repro.netsim.simulator.MpiSimulator` and asserts
         *exact* (bit-identical) agreement of makespan and per-rank
         compute/comm/end seconds.  Returns the compiled result.
@@ -1209,10 +1165,7 @@ class CompiledProgram:
         from repro.netsim.simulator import MpiSimulator
 
         sim = simulator or MpiSimulator(self.platform, self.time_model)
-        programs = self._programs
-        if isinstance(programs, ColumnarTrace):
-            programs = programs.to_programs()
-        des = sim.run(programs, frequencies=frequencies)
+        des = sim.run_trace(self._world, frequencies=frequencies)
         mine = self.evaluate(frequencies)
         checks = (
             ("execution_time", des.execution_time, mine.execution_time),
@@ -1243,7 +1196,7 @@ class CompiledReplayEngine:
     ``run_trace`` surface on the supported subset (interval/trace
     recording raise :class:`UnsupportedWorldError`; ``max_events`` is
     accepted but moot — a compiled tape is finite by construction).
-    Compiled programs are cached on the :class:`Trace` object, keyed by
+    Compiled programs are cached on the trace object, keyed by
     (platform, fmax, β), so a sweep compiles once and evaluates many
     times; capability rejections are negative-cached the same way.
     """
@@ -1266,7 +1219,7 @@ class CompiledReplayEngine:
     ) -> CompiledProgram:
         return compile_world(programs, self.platform, self.time_model)
 
-    def compile_trace(self, trace: "Trace | ColumnarTrace") -> CompiledProgram:
+    def compile_trace(self, trace: ColumnarTrace) -> CompiledProgram:
         key = (self.platform, self.time_model.fmax, self.time_model.beta)
         cache = getattr(trace, "_compiled_cache", None)
         if cache is None:
@@ -1278,23 +1231,16 @@ class CompiledReplayEngine:
                     raise type(entry)(str(entry))
                 return entry
         try:
-            if isinstance(trace, ColumnarTrace):
-                program = compile_columnar_world(
-                    trace, self.platform, self.time_model
-                )
-            else:
-                program = compile_world(
-                    [stream.records for stream in trace],
-                    self.platform,
-                    self.time_model,
-                )
+            program = compile_columnar_world(
+                trace, self.platform, self.time_model
+            )
         except UnsupportedWorldError as exc:
             cache.append((key, exc))
             raise
         cache.append((key, program))
         return program
 
-    def supports(self, trace: "Trace | ColumnarTrace") -> tuple[bool, str]:
+    def supports(self, trace: ColumnarTrace) -> tuple[bool, str]:
         """Capability check: (accepted, reason-if-not)."""
         try:
             self.compile_trace(trace)
@@ -1324,7 +1270,7 @@ class CompiledReplayEngine:
 
     def run_trace(
         self,
-        trace: "Trace | ColumnarTrace",
+        trace: ColumnarTrace,
         frequencies: Sequence[float] | float | None = None,
         **kwargs: Any,
     ) -> RunResult:
@@ -1346,7 +1292,7 @@ class CompiledReplayEngine:
 
     def evaluate_assignments(
         self,
-        trace: "Trace | ColumnarTrace",
+        trace: ColumnarTrace,
         frequencies: Any,
         chunk_size: int | None = None,
     ) -> dict[str, np.ndarray]:

@@ -33,7 +33,7 @@ the simulator runs them in a private request namespace, so they cannot
 collide with application requests.  One caveat is inherited from MPI's
 lack of communicator contexts in this simplified world: an outstanding
 application ``irecv`` with ``ANY_SOURCE`` *and* ``ANY_TAG`` could steal
-a collective fragment; the linter's W004 flags such traces.
+a collective fragment; lint rule TR004 flags such traces.
 """
 
 from __future__ import annotations

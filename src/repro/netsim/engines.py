@@ -31,8 +31,8 @@ from repro.netsim.enginestats import add_engine_stats
 from repro.netsim.platform import PlatformConfig
 from repro.netsim.record import RunResult
 from repro.netsim.simulator import MpiSimulator
+from repro.traces.columnar import ColumnarTrace
 from repro.traces.records import Record
-from repro.traces.trace import Trace
 
 __all__ = ["ENGINE_NAMES", "AutoReplayEngine", "make_engine"]
 
@@ -104,7 +104,7 @@ class AutoReplayEngine:
 
     def run_trace(
         self,
-        trace: Trace,
+        trace: ColumnarTrace,
         frequencies: Sequence[float] | float | None = None,
         **kwargs: Any,
     ) -> RunResult:
@@ -118,12 +118,12 @@ class AutoReplayEngine:
             add_engine_stats(auto_fallbacks=1)
             return self.des.run_trace(trace, frequencies=frequencies, **kwargs)
 
-    def supports(self, trace: Trace) -> tuple[bool, str]:
+    def supports(self, trace: ColumnarTrace) -> tuple[bool, str]:
         return self.compiled.supports(trace)
 
     def evaluate_assignments(
         self,
-        trace: Trace,
+        trace: ColumnarTrace,
         frequencies: Any,
         chunk_size: int | None = None,
     ) -> dict:

@@ -66,7 +66,7 @@ class RunResult:
     events: int
     intervals: list[list[Interval]] | None = None
     markers: list[list[Marker]] | None = None
-    trace: Any | None = None  # repro.traces.Trace when recording was on
+    trace: Any | None = None  # a ColumnarTrace when recording was on
     meta: dict[str, Any] = field(default_factory=dict)
     #: which replay engine produced this result ("des" or "compiled").
     #: For the DES, ``events`` counts heap events processed; for the

@@ -32,8 +32,8 @@ from repro.netsim.record import Interval, Marker, RunResult
 from repro.simx.engine import Engine
 from repro.simx.errors import DeadlockError, SimulationError
 from repro.simx.process import Hold, Process, Signal, WaitSignal
+from repro.traces.columnar import ColumnarTrace
 from repro.traces.records import Record
-from repro.traces.trace import Trace
 
 __all__ = ["MpiSimulator"]
 
@@ -136,7 +136,7 @@ class MpiSimulator:
 
     def run_trace(
         self,
-        trace: Trace,
+        trace: ColumnarTrace,
         frequencies: Sequence[float] | float | None = None,
         **kwargs: Any,
     ) -> RunResult:
@@ -152,7 +152,7 @@ class MpiSimulator:
     # ------------------------------------------------------------------
     def evaluate_assignments(
         self,
-        trace: Trace,
+        trace: ColumnarTrace,
         frequencies: Any,
         chunk_size: int | None = None,
     ) -> dict[str, np.ndarray]:
@@ -222,8 +222,9 @@ class _Run:
         self.matcher = Matcher(nproc)
         self.buses = _BusPool(self.platform.buses) if self.platform.buses else None
         self.usage = [_RankUsage(record_intervals) for _ in range(nproc)]
-        self.trace = (
-            Trace(nproc) if record_trace else None
+        # each rank's ops in program order, appended before execution
+        self.recorded: list[list[Record]] | None = (
+            [[] for _ in range(nproc)] if record_trace else None
         )
         self.requests: list[dict[int, Signal]] = [{} for _ in range(nproc)]
         self.collectives: dict[int, _CollInstance] = {}
@@ -255,7 +256,7 @@ class _Run:
                 + [f"matcher: {diag}"]
             )
         end_times = np.array([u.end_time for u in self.usage])
-        result = RunResult(
+        return RunResult(
             execution_time=float(end_times.max(initial=0.0)),
             compute_times=np.array([u.compute for u in self.usage]),
             comm_times=np.array([u.comm for u in self.usage]),
@@ -267,12 +268,13 @@ class _Run:
                 else None
             ),
             markers=[u.markers for u in self.usage],
-            trace=self.trace,
+            trace=(
+                None
+                if self.recorded is None
+                else ColumnarTrace.from_streams(self.recorded, meta=meta)
+            ),
             meta=meta,
         )
-        if self.trace is not None:
-            self.trace.meta.update(meta)
-        return result
 
     # ------------------------------------------------------------------
     def _burst_time(self, record: Record, rank: int) -> float:
@@ -284,9 +286,10 @@ class _Run:
     def _interp(self, rank: int, ops: Iterable[Record]):
         """The per-rank interpreter coroutine."""
         usage = self.usage[rank]
+        recorded = None if self.recorded is None else self.recorded[rank]
         for op in ops:
-            if self.trace is not None:
-                self.trace[rank].append(op)
+            if recorded is not None:
+                recorded.append(op)
             yield from self._execute(rank, op, usage, self.requests[rank])
 
         if self.requests[rank]:

@@ -168,8 +168,13 @@ class ReplicaProcess:
                  self.addr)
 
     def note_exit_and_schedule_restart(self) -> float:
-        """Record an unexpected exit; returns the restart delay."""
+        """Record an unexpected exit; returns the restart delay.
+
+        The dead replica's worker pool (and its resource tracker) would
+        outlive it, so its process group is killed first.
+        """
         assert self.proc is not None
+        self._kill_group()
         code = self.proc.returncode
         uptime = time.monotonic() - self._spawned_at
         if uptime >= _STABLE_SECONDS:
@@ -191,11 +196,24 @@ class ReplicaProcess:
 
     def kill(self) -> None:
         if self.alive:
-            assert self.proc is not None
             log.warning("%s: drain deadline passed; killing", self.name)
-            try:
-                os.killpg(os.getpgid(self.proc.pid), signal.SIGKILL)
-            except (OSError, ProcessLookupError):
+        self._kill_group()
+
+    def _kill_group(self) -> None:
+        """SIGKILL the replica's whole process group, leader or not.
+
+        The replica leads its own session, so the group id is the
+        leader's pid — which stays valid after the leader is reaped,
+        for as long as any member (a pool worker) is alive.
+        """
+        if self.proc is None:
+            return
+        try:
+            os.killpg(self.proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass  # the group is already empty
+        except OSError:
+            if self.alive:
                 self.proc.kill()
 
 

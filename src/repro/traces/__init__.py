@@ -8,8 +8,9 @@ replaying a trace through :class:`repro.netsim.MpiSimulator`, exactly as
 Dimemas replays its tracefiles.
 
 * :mod:`repro.traces.records` — the event record types;
-* :mod:`repro.traces.trace` — :class:`Trace` / :class:`RankStream`;
-* :mod:`repro.traces.columnar` — pooled-column storage for large worlds;
+* :mod:`repro.traces.columnar` — :class:`ColumnarTrace`, the in-memory
+  trace (pooled numpy columns, one CSR slice per rank);
+* :mod:`repro.traces.colstore` — the binary ``.rpcs`` column store;
 * :mod:`repro.traces.jsonio` — JSON-lines persistence;
 * :mod:`repro.traces.prv` — Paraver-like timestamped export;
 * :mod:`repro.traces.analysis` — load balance, parallel efficiency, …;
@@ -32,7 +33,6 @@ from repro.traces.records import (
     WaitallRecord,
     WaitRecord,
 )
-from repro.traces.trace import RankStream, Trace
 from repro.traces.columnar import (
     ColumnarRankView,
     ColumnarTrace,
@@ -53,7 +53,6 @@ from repro.traces.iterstats import (
     iteration_stats,
     per_iteration_compute_times,
 )
-from repro.traces.lint import LintWarning, lint_trace
 
 __all__ = [
     "ANY_SOURCE",
@@ -67,13 +66,10 @@ __all__ = [
     "IrecvRecord",
     "IsendRecord",
     "IterationStats",
-    "LintWarning",
     "MarkerRecord",
-    "RankStream",
     "Record",
     "RecvRecord",
     "SendRecord",
-    "Trace",
     "TraceStats",
     "WaitRecord",
     "WaitallRecord",
@@ -82,7 +78,6 @@ __all__ = [
     "cut_iterations",
     "is_regular",
     "iteration_stats",
-    "lint_trace",
     "load_balance",
     "parallel_efficiency",
     "per_iteration_compute_times",

@@ -28,10 +28,6 @@ from repro.traces.columnar import (
     K_SEND,
     ColumnarTrace,
 )
-from repro.traces.records import CollectiveRecord, MarkerRecord
-from repro.traces.trace import Trace
-
-AnyTrace = Trace | ColumnarTrace
 
 __all__ = [
     "TraceStats",
@@ -48,14 +44,12 @@ __all__ = [
 ]
 
 
-def compute_times(trace: AnyTrace) -> np.ndarray:
+def compute_times(trace: ColumnarTrace) -> np.ndarray:
     """Per-rank total computation seconds (at nominal frequency)."""
-    if isinstance(trace, ColumnarTrace):
-        return trace.compute_times()
-    return np.array([stream.compute_time() for stream in trace], dtype=float)
+    return trace.compute_times()
 
 
-def compute_times_by_phase(trace: AnyTrace) -> dict[str, np.ndarray]:
+def compute_times_by_phase(trace: ColumnarTrace) -> dict[str, np.ndarray]:
     """Per-phase, per-rank computation seconds.
 
     Returns ``{phase_label: array of length nproc}``.  Ranks that never
@@ -81,12 +75,12 @@ def load_balance_from_times(times: np.ndarray) -> float:
     return float(times.sum() / (times.size * peak))
 
 
-def load_balance(trace: AnyTrace) -> float:
+def load_balance(trace: ColumnarTrace) -> float:
     """Load balance (Eq. 4) of a trace."""
     return load_balance_from_times(compute_times(trace))
 
 
-def parallel_efficiency(trace: AnyTrace, total_execution_time: float) -> float:
+def parallel_efficiency(trace: ColumnarTrace, total_execution_time: float) -> float:
     """Parallel efficiency (Eq. 5) given the replayed execution time."""
     if total_execution_time <= 0.0:
         raise ValueError(
@@ -96,7 +90,7 @@ def parallel_efficiency(trace: AnyTrace, total_execution_time: float) -> float:
     return float(times.sum() / (times.size * total_execution_time))
 
 
-def imbalance_time(trace: AnyTrace) -> float:
+def imbalance_time(trace: ColumnarTrace) -> float:
     """Aggregate wait seconds implied purely by imbalance.
 
     Sum over ranks of ``(max_k T_k) - T_k``: the idle time a perfectly
@@ -107,38 +101,26 @@ def imbalance_time(trace: AnyTrace) -> float:
     return float((times.max() - times).sum())
 
 
-def communication_matrix(trace: AnyTrace) -> tuple[np.ndarray, np.ndarray]:
+def communication_matrix(trace: ColumnarTrace) -> tuple[np.ndarray, np.ndarray]:
     """Point-to-point traffic: (bytes, message counts) per (src, dst).
 
     Covers ``send``/``isend`` records only; collectives have no single
     pairwise decomposition (their volume is in
     :attr:`TraceStats.collective_counts`).
     """
-    from repro.traces.records import IsendRecord, SendRecord
-
     nproc = trace.nproc
     nbytes = np.zeros((nproc, nproc))
     counts = np.zeros((nproc, nproc), dtype=int)
-    if isinstance(trace, ColumnarTrace):
-        # np.add.at accumulates per cell in storage (= program) order,
-        # matching the record loop's additions exactly
-        is_send = (trace.kind == K_SEND) | (trace.kind == K_ISEND)
-        src = np.repeat(
-            np.arange(nproc), np.diff(trace.offsets)
-        )[is_send]
-        dst = trace.peer[is_send].astype(np.intp)
-        np.add.at(nbytes, (src, dst), trace.size[is_send].astype(float))
-        np.add.at(counts, (src, dst), 1)
-        return nbytes, counts
-    for stream in trace:
-        for rec in stream:
-            if isinstance(rec, (SendRecord, IsendRecord)):
-                nbytes[stream.rank, rec.dst] += rec.nbytes
-                counts[stream.rank, rec.dst] += 1
+    # np.add.at accumulates per cell in storage (= program) order
+    is_send = (trace.kind == K_SEND) | (trace.kind == K_ISEND)
+    src = np.repeat(np.arange(nproc), np.diff(trace.offsets))[is_send]
+    dst = trace.peer[is_send].astype(np.intp)
+    np.add.at(nbytes, (src, dst), trace.size[is_send].astype(float))
+    np.add.at(counts, (src, dst), 1)
     return nbytes, counts
 
 
-def top_communicators(trace: AnyTrace, k: int = 5) -> list[tuple[int, int, float]]:
+def top_communicators(trace: ColumnarTrace, k: int = 5) -> list[tuple[int, int, float]]:
     """The k heaviest (src, dst, bytes) point-to-point pairs."""
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
@@ -153,19 +135,12 @@ def top_communicators(trace: AnyTrace, k: int = 5) -> list[tuple[int, int, float
     return flat[:k]
 
 
-def iteration_count(trace: AnyTrace) -> int:
+def iteration_count(trace: ColumnarTrace) -> int:
     """Number of distinct iteration indices announced by rank-0 markers."""
-    if isinstance(trace, ColumnarTrace):
-        lo, hi = int(trace.offsets[0]), int(trace.offsets[1])
-        aux = trace.aux[lo:hi]
-        mask = (trace.kind[lo:hi] == K_MARKER) & (aux >= 0)
-        return int(np.unique(aux[mask]).size)
-    iters = {
-        rec.iteration
-        for rec in trace[0]
-        if isinstance(rec, MarkerRecord) and rec.iteration >= 0
-    }
-    return len(iters)
+    lo, hi = int(trace.offsets[0]), int(trace.offsets[1])
+    aux = trace.aux[lo:hi]
+    mask = (trace.kind[lo:hi] == K_MARKER) & (aux >= 0)
+    return int(np.unique(aux[mask]).size)
 
 
 @dataclass
@@ -197,7 +172,7 @@ class TraceStats:
 
 
 def trace_stats(
-    trace: AnyTrace, total_execution_time: float | None = None
+    trace: ColumnarTrace, total_execution_time: float | None = None
 ) -> TraceStats:
     """Compute the full summary for a trace.
 
@@ -205,14 +180,6 @@ def trace_stats(
     parallel-efficiency column; without it PE is ``None``.
     """
     times = compute_times(trace)
-    if isinstance(trace, ColumnarTrace):
-        coll = trace.collective_counts()
-    else:
-        coll = {}
-        for stream in trace:
-            for rec in stream:
-                if isinstance(rec, CollectiveRecord):
-                    coll[rec.op] = coll.get(rec.op, 0) + 1
     pe = (
         parallel_efficiency(trace, total_execution_time)
         if total_execution_time is not None
@@ -230,5 +197,5 @@ def trace_stats(
         iterations=iteration_count(trace),
         total_records=trace.total_records(),
         bytes_sent=sum(s.bytes_sent() for s in trace),
-        collective_counts=coll,
+        collective_counts=trace.collective_counts(),
     )

@@ -1,10 +1,11 @@
-"""Columnar trace storage: pooled numpy columns behind the ``Trace`` API.
+"""The in-memory trace: pooled numpy columns, one CSR slice per rank.
 
-A :class:`ColumnarTrace` stores the same event stream as
-:class:`~repro.traces.trace.Trace`, but as ten flat numpy columns plus a
-CSR-style per-rank ``offsets`` array instead of per-rank lists of frozen
-dataclasses.  At 100k-rank scale the record-object representation drowns
-in per-object overhead (one dataclass + boxed fields + a list slot per
+A :class:`ColumnarTrace` is the one trace object of the package: the
+DES recorder, the readers, the transforms and the skeleton generators
+all return one.  It stores a world's event streams as ten flat numpy
+columns plus a CSR-style per-rank ``offsets`` array rather than per-rank
+lists of frozen dataclasses: at 100k-rank scale record objects drown in
+per-object overhead (one dataclass + boxed fields + a list slot per
 event, ~200 bytes and a GC header each); the columnar layout costs a
 fixed 46 bytes per event regardless of world size and slices in O(1).
 
@@ -29,10 +30,14 @@ Layout (all columns have one entry per event, rank-major order)::
 plus a ragged ``reqpool`` (int32) holding waitall request lists and a
 deduplicated string pool for phase/marker labels.
 
-Conversion to and from record objects is lossless and bit-exact: every
-column value is the same Python int/float/str that the record carried,
-so replays, analyses and JSON serialisations of the two representations
-agree byte for byte (pinned by ``tests/test_columnar.py``).
+Record objects exist only where a consumer walks them — the DES replay
+and :func:`~repro.netsim.compiled.compile_world` take per-rank record
+iterables, which :meth:`ColumnarTrace.records_of` and
+:class:`ColumnarRankView` iteration materialise on demand.  Building
+from records (:meth:`ColumnarTrace.from_streams`) and materialising
+them again is lossless and bit-exact: every column value is the same
+Python int/float/str the record carried (pinned by
+``tests/test_columnar.py``).
 """
 
 from __future__ import annotations
@@ -61,7 +66,6 @@ from repro.traces.records import (
     WaitRecord,
     WaitallRecord,
 )
-from repro.traces.trace import Trace
 
 __all__ = [
     "KIND_CODES",
@@ -353,10 +357,9 @@ class ColumnarTraceBuilder:
 class ColumnarRankView:
     """One rank's slice of a :class:`ColumnarTrace`.
 
-    Duck-types the :class:`~repro.traces.trace.RankStream` read surface
-    (``rank``, ``records``, iteration, ``compute_time`` …) so analyses
-    and the DES replay work unchanged; accessing ``records`` or
-    iterating materialises record objects on demand.
+    The per-rank read surface (``rank``, ``records``, iteration,
+    ``compute_time`` …) the analyses and the DES replay use; accessing
+    ``records`` or iterating materialises record objects on demand.
     """
 
     __slots__ = ("_trace", "rank", "_lo", "_hi")
@@ -375,17 +378,15 @@ class ColumnarRankView:
         return self._hi - self._lo
 
     def __iter__(self) -> Iterator[Record]:
-        trace = self._trace
-        for g in range(self._lo, self._hi):
-            yield trace.record_at(g)
+        return iter(self._trace.records_of(self.rank))
 
     def compute_time(self) -> float:
-        """Total compute seconds; bit-identical to the record path.
+        """Total compute seconds, summed in program order.
 
-        ``sum`` over a list accumulates strictly left to right (just
-        like ``RankStream.compute_time``'s generator sum), which is what
-        keeps makespans and reports byte-identical across storage
-        representations — numpy's pairwise ``.sum()`` would not be.
+        ``sum`` over a list accumulates strictly left to right, like a
+        per-record loop over the rank's bursts, which is what keeps
+        makespans and reports byte-identical to the recorded program —
+        numpy's pairwise ``.sum()`` would not be.
         """
         t = self._trace
         lo, hi = self._lo, self._hi
@@ -418,12 +419,12 @@ class ColumnarRankView:
 
 
 class ColumnarTrace:
-    """Columnar storage of a complete application trace.
+    """A complete application trace: one CSR slice of columns per rank.
 
-    Mirrors the :class:`~repro.traces.trace.Trace` read API (``nproc``,
-    ``meta``, ``name``, indexing/iteration over per-rank streams,
-    ``total_records``, ``validate``) so it drops into the analysis,
-    balancing and replay pipelines unchanged.  The compiled replay
+    ``meta`` carries free-form provenance (application name, iteration
+    count, the platform the trace was generated on, …); it is persisted
+    by both file formats and surfaced in reports.  Indexing or iterating
+    yields one :class:`ColumnarRankView` per rank.  The compiled replay
     kernel consumes the columns directly — no record objects are ever
     materialised on that path.
     """
@@ -548,7 +549,7 @@ class ColumnarTrace:
 
         return colstore.open_trace(path, mmap=mmap, verify=verify)
 
-    # -- Trace API ------------------------------------------------------
+    # -- read API -------------------------------------------------------
     @property
     def name(self) -> str:
         return str(self.meta.get("name", f"trace-{self.nproc}"))
@@ -597,66 +598,53 @@ class ColumnarTrace:
                 append(rank, record)
         return builder.build(meta=meta)
 
-    @classmethod
-    def from_trace(cls, trace: Trace) -> "ColumnarTrace":
-        """Lossless conversion from a record-object trace."""
-        return cls.from_streams(
-            (stream.records for stream in trace), meta=trace.meta
-        )
-
-    def to_trace(self) -> Trace:
-        """Lossless conversion back to record objects."""
-        trace = Trace(self.nproc, meta=self.meta)
-        for rank in range(self.nproc):
-            trace.streams[rank].records = self.records_of(rank)
-        return trace
-
-    def to_programs(self) -> list[list[Record]]:
-        """Per-rank record lists (DES replay / cross-validation input)."""
-        return [self.records_of(rank) for rank in range(self.nproc)]
-
-    def record_at(self, g: int) -> Record:
-        """Materialise the record object for global event index ``g``."""
-        k = int(self.kind[g])
-        if k == K_COMPUTE:
-            b = float(self.beta[g])
-            return ComputeBurst(
-                float(self.duration[g]),
-                phase=self.strings[int(self.label[g])],
-                beta=None if math.isnan(b) else b,
-            )
-        if k == K_SEND:
-            return SendRecord(int(self.peer[g]), int(self.size[g]), int(self.tag[g]))
-        if k == K_RECV:
-            return RecvRecord(int(self.peer[g]), int(self.tag[g]))
-        if k == K_ISEND:
-            return IsendRecord(
-                int(self.peer[g]), int(self.size[g]), int(self.tag[g]),
-                int(self.req[g]),
-            )
-        if k == K_IRECV:
-            return IrecvRecord(int(self.peer[g]), int(self.tag[g]), int(self.req[g]))
-        if k == K_WAIT:
-            return WaitRecord(int(self.req[g]))
-        if k == K_WAITALL:
-            lo = int(self.aux[g])
-            hi = lo + int(self.req[g])
-            return WaitallRecord(tuple(self.reqpool[lo:hi].tolist()))
-        if k == K_COLLECTIVE:
-            return CollectiveRecord(
-                COLLECTIVE_OPS[int(self.collop[g])],
-                int(self.size[g]),
-                int(self.peer[g]),
-            )
-        if k == K_MARKER:
-            return MarkerRecord(
-                self.strings[int(self.label[g])], int(self.aux[g])
-            )
-        raise ValueError(f"corrupt kind code {k} at event {g}")
-
     def records_of(self, rank: int) -> list[Record]:
+        """Materialise rank ``rank``'s record objects, in program order."""
         lo, hi = int(self.offsets[rank]), int(self.offsets[rank + 1])
-        return [self.record_at(g) for g in range(lo, hi)]
+        kinds = self.kind[lo:hi].tolist()
+        duration = self.duration[lo:hi].tolist()
+        beta = self.beta[lo:hi].tolist()
+        peer = self.peer[lo:hi].tolist()
+        tag = self.tag[lo:hi].tolist()
+        size = self.size[lo:hi].tolist()
+        req = self.req[lo:hi].tolist()
+        aux = self.aux[lo:hi].tolist()
+        label = self.label[lo:hi].tolist()
+        collop = self.collop[lo:hi].tolist()
+        strings = self.strings
+        out: list[Record] = []
+        append = out.append
+        for i, k in enumerate(kinds):
+            if k == K_COMPUTE:
+                b = beta[i]
+                append(ComputeBurst(
+                    duration[i], phase=strings[label[i]],
+                    beta=None if math.isnan(b) else b,
+                ))
+            elif k == K_SEND:
+                append(SendRecord(peer[i], size[i], tag[i]))
+            elif k == K_RECV:
+                append(RecvRecord(peer[i], tag[i]))
+            elif k == K_ISEND:
+                append(IsendRecord(peer[i], size[i], tag[i], req[i]))
+            elif k == K_IRECV:
+                append(IrecvRecord(peer[i], tag[i], req[i]))
+            elif k == K_WAIT:
+                append(WaitRecord(req[i]))
+            elif k == K_WAITALL:
+                plo = aux[i]
+                append(WaitallRecord(
+                    tuple(self.reqpool[plo:plo + req[i]].tolist())
+                ))
+            elif k == K_COLLECTIVE:
+                append(CollectiveRecord(
+                    COLLECTIVE_OPS[collop[i]], size[i], peer[i]
+                ))
+            elif k == K_MARKER:
+                append(MarkerRecord(strings[label[i]], aux[i]))
+            else:
+                raise ValueError(f"corrupt kind code {k} at event {lo + i}")
+        return out
 
     def event_dict(self, g: int) -> dict[str, Any]:
         """``record_to_dict``-identical dict for event ``g`` (no record)."""
@@ -723,7 +711,8 @@ class ColumnarTrace:
 
     # -- analyses -------------------------------------------------------
     def compute_times(self) -> np.ndarray:
-        """Per-rank compute seconds, bit-identical to the record path."""
+        """Per-rank compute seconds (each summed like
+        :meth:`ColumnarRankView.compute_time`)."""
         out = np.empty(self.nproc)
         kind, dur, off = self.kind, self.duration, self.offsets
         for rank in range(self.nproc):
@@ -732,8 +721,8 @@ class ColumnarTrace:
         return out
 
     def collective_counts(self) -> dict[str, int]:
-        """``{op: count}`` over the whole trace, in COLLECTIVE_OPS order
-        of first appearance (matches record-path dict accumulation)."""
+        """``{op: count}`` over the whole trace, keyed in order of first
+        appearance (rank-major)."""
         codes = self.collop[self.kind == K_COLLECTIVE]
         out: dict[str, int] = {}
         for code in codes.tolist():
@@ -743,7 +732,14 @@ class ColumnarTrace:
 
     # -- validation -----------------------------------------------------
     def validate(self) -> None:
-        """Structural checks, mirroring :meth:`Trace.validate`."""
+        """Structural sanity checks (cheap; full matching is replay's job).
+
+        Verifies that point-to-point peers are in range and not the
+        rank itself, that every non-blocking request is waited on
+        exactly once per rank, and that all ranks agree on the *number*
+        of collectives.  Raises :class:`ValueError` on the first
+        violation.
+        """
         nproc = self.nproc
         kind = self.kind
         peer = self.peer

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.traces.analysis import load_balance_from_times
+from repro.traces.columnar import ColumnarTrace
 from repro.traces.records import ComputeBurst, MarkerRecord
-from repro.traces.trace import Trace
 
 __all__ = [
     "IterationStats",
@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 
-def per_iteration_compute_times(trace: Trace) -> np.ndarray:
+def per_iteration_compute_times(trace: ColumnarTrace) -> np.ndarray:
     """(iterations × ranks) computation seconds at nominal frequency.
 
     Records before the first numbered marker (initialization) are
@@ -109,7 +109,7 @@ def _pattern_drift(times: np.ndarray) -> float:
     return float(np.mean(drifts))
 
 
-def iteration_stats(trace: Trace) -> IterationStats:
+def iteration_stats(trace: ColumnarTrace) -> IterationStats:
     """Compute the full per-iteration summary for a trace."""
     times = per_iteration_compute_times(trace)
     niter, nproc = times.shape
@@ -130,7 +130,9 @@ def iteration_stats(trace: Trace) -> IterationStats:
     )
 
 
-def is_regular(trace: Trace, cv_tol: float = 0.05, drift_tol: float = 0.05) -> bool:
+def is_regular(
+    trace: ColumnarTrace, cv_tol: float = 0.05, drift_tol: float = 0.05
+) -> bool:
     """True when a one-shot static assignment is trustworthy.
 
     Regular means every rank's per-iteration computation time is stable

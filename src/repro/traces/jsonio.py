@@ -11,11 +11,10 @@ Rank-major order keeps writing streaming-friendly and diffs readable;
 the reader accepts events in any order (they are appended per rank in
 file order, which must respect each rank's own program order).
 
-Both storage representations speak this format natively: writing a
-:class:`~repro.traces.columnar.ColumnarTrace` streams its event dicts
-without materialising record objects, and ``read_trace(...,
-columnar=True)`` parses straight into column buffers — the emitted
-bytes and the parsed events are identical either way.
+Writing a :class:`~repro.traces.columnar.ColumnarTrace` streams its
+event dicts straight off the columns, and reading parses each line
+straight into column buffers: neither direction materialises a record
+object, so the format scales to any rank count.
 
 Paths ending in :data:`~repro.traces.colstore.STORE_EXTENSION` (or
 whose file carries the store magic) dispatch to the binary columnar
@@ -33,8 +32,6 @@ from typing import IO, Any
 
 from repro.traces import colstore
 from repro.traces.columnar import ColumnarTrace, ColumnarTraceBuilder
-from repro.traces.records import record_from_dict, record_to_dict
-from repro.traces.trace import Trace
 
 __all__ = ["read_trace", "write_trace", "dumps_trace", "loads_trace"]
 
@@ -58,24 +55,16 @@ def _open(path_or_file: PathOrFile, mode: str) -> tuple[IO[str], bool]:
     return open(path, mode, encoding="utf-8"), True
 
 
-def write_trace(trace: Trace | ColumnarTrace, path_or_file: PathOrFile) -> None:
+def write_trace(trace: ColumnarTrace, path_or_file: PathOrFile) -> None:
     """Serialise ``trace`` to a JSON-lines file (``.gz`` compresses).
 
-    Accepts either storage representation; a :class:`ColumnarTrace`
-    streams its rows straight off the columns and produces byte-for-byte
-    the same file as its record-object equivalent.  A path ending in
-    ``.rpcs`` writes the binary columnar store instead (record traces
-    are converted first).
+    Rows stream straight off the columns.  A path ending in ``.rpcs``
+    writes the binary columnar store instead.
     """
     if not _is_stream(path_or_file) and str(
         os.fspath(path_or_file)  # type: ignore[arg-type]
     ).endswith(colstore.STORE_EXTENSION):
-        col = (
-            trace
-            if isinstance(trace, ColumnarTrace)
-            else ColumnarTrace.from_trace(trace)
-        )
-        col.save(path_or_file)  # type: ignore[arg-type]
+        trace.save(path_or_file)  # type: ignore[arg-type]
         return
     stream, should_close = _open(path_or_file, "w")
     try:
@@ -86,30 +75,21 @@ def write_trace(trace: Trace | ColumnarTrace, path_or_file: PathOrFile) -> None:
             "meta": trace.meta,
         }
         stream.write(json.dumps(header) + "\n")
-        if isinstance(trace, ColumnarTrace):
-            for rank, event in trace.iter_event_rows():
-                row: dict[str, Any] = {"rank": rank}
-                row.update(event)
-                stream.write(json.dumps(row) + "\n")
-        else:
-            for rank_stream in trace:
-                for record in rank_stream:
-                    row = {"rank": rank_stream.rank}
-                    row.update(record_to_dict(record))
-                    stream.write(json.dumps(row) + "\n")
+        for rank, event in trace.iter_event_rows():
+            row: dict[str, Any] = {"rank": rank}
+            row.update(event)
+            stream.write(json.dumps(row) + "\n")
     finally:
         if should_close:
             stream.close()
 
 
-def _parse_lines(
-    lines: Iterator[str], columnar: bool
-) -> Trace | ColumnarTrace:
+def _parse_lines(lines: Iterator[str]) -> ColumnarTrace:
     """Parse header + event lines (one JSON object per element).
 
     ``lines`` yields raw lines with or without trailing newlines; each
-    line is parsed and dropped before the next is pulled, so peak memory
-    is one event row regardless of trace size.
+    line is parsed into column buffers and dropped before the next is
+    pulled, so peak memory is the columns plus one event row.
     """
     header_line = next(lines, "")
     if not header_line.strip():
@@ -126,44 +106,21 @@ def _parse_lines(
         )
     nproc = int(header["nproc"])
     meta = header.get("meta") or {}
-    if columnar:
-        builder = ColumnarTraceBuilder(nproc)
-        for lineno, line in enumerate(lines, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            row: dict[str, Any] = json.loads(line)
-            try:
-                builder.append_dict(row.pop("rank"), row)
-            except (KeyError, TypeError, ValueError, IndexError) as exc:
-                raise ValueError(
-                    f"bad trace event at line {lineno}: {exc}"
-                ) from exc
-        return builder.build(meta=meta)
-    trace = Trace(nproc=nproc, meta=meta)
+    builder = ColumnarTraceBuilder(nproc)
     for lineno, line in enumerate(lines, start=2):
         line = line.strip()
         if not line:
             continue
-        row = json.loads(line)
+        row: dict[str, Any] = json.loads(line)
         try:
-            rank = row.pop("rank")
-            trace[rank].append(record_from_dict(row))
+            builder.append_dict(row.pop("rank"), row)
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise ValueError(f"bad trace event at line {lineno}: {exc}") from exc
-    return trace
+    return builder.build(meta=meta)
 
 
-def read_trace(
-    path_or_file: PathOrFile,
-    columnar: bool = False,
-    mmap: bool = False,
-) -> Trace | ColumnarTrace:
+def read_trace(path_or_file: PathOrFile, mmap: bool = False) -> ColumnarTrace:
     """Load a trace previously written by :func:`write_trace`.
-
-    With ``columnar=True`` events are parsed straight into pooled
-    columns and a :class:`ColumnarTrace` is returned — the way to load
-    traces whose rank count makes record objects prohibitive.
 
     Binary store files (``.rpcs`` extension or store magic) are opened
     through :mod:`repro.traces.colstore`; ``mmap=True`` then backs the
@@ -171,17 +128,16 @@ def read_trace(
     (it has no effect on JSON inputs).
     """
     if not _is_stream(path_or_file) and colstore.is_store_file(path_or_file):
-        col = ColumnarTrace.open(path_or_file, mmap=mmap)
-        return col if columnar else col.to_trace()
+        return ColumnarTrace.open(path_or_file, mmap=mmap)
     stream, should_close = _open(path_or_file, "r")
     try:
-        return _parse_lines(iter(stream), columnar)
+        return _parse_lines(iter(stream))
     finally:
         if should_close:
             stream.close()
 
 
-def dumps_trace(trace: Trace | ColumnarTrace) -> str:
+def dumps_trace(trace: ColumnarTrace) -> str:
     """Serialise to an in-memory string (round-trip convenience)."""
     parts: list[str] = []
 
@@ -212,6 +168,6 @@ def _iter_text_lines(text: str) -> Iterator[str]:
         start = end + 1
 
 
-def loads_trace(text: str, columnar: bool = False) -> Trace | ColumnarTrace:
+def loads_trace(text: str) -> ColumnarTrace:
     """Inverse of :func:`dumps_trace` (streaming; no buffer copy)."""
-    return _parse_lines(_iter_text_lines(text), columnar)
+    return _parse_lines(_iter_text_lines(text))

@@ -20,11 +20,9 @@ import os
 from dataclasses import dataclass
 from typing import IO
 
-import numpy as np
-
 from repro.netsim.record import Interval, RunResult
 
-__all__ = ["ColumnarPrv", "PrvTrace", "parse_prv", "write_prv", "STATE_IDS"]
+__all__ = ["PrvTrace", "parse_prv", "write_prv", "STATE_IDS"]
 
 STATE_IDS = {
     "compute": 1,
@@ -48,118 +46,6 @@ class PrvTrace:
 
     def state_time(self, rank: int, kind: str) -> float:
         return sum(iv.duration for iv in self.intervals[rank] if iv.kind == kind)
-
-
-class ColumnarPrv:
-    """Columnar storage of a parsed .prv file.
-
-    Timestamps stay the integer nanoseconds from the file (``int64``
-    columns), so conversion to :class:`PrvTrace` — which divides by 1e9
-    exactly like the record-path parser — is lossless and the two parse
-    modes agree bit for bit.  Rank ``r``'s intervals occupy
-    ``[offsets[r], offsets[r+1])`` of ``start_ns``/``end_ns``/``state``.
-    """
-
-    __slots__ = ("duration_ns", "nproc", "offsets", "start_ns", "end_ns", "state")
-
-    def __init__(
-        self,
-        duration_ns: int,
-        nproc: int,
-        offsets: np.ndarray,
-        start_ns: np.ndarray,
-        end_ns: np.ndarray,
-        state: np.ndarray,
-    ):
-        if offsets.shape != (nproc + 1,):
-            raise ValueError(
-                f"offsets shape {offsets.shape} does not match nproc={nproc}"
-            )
-        n = int(offsets[-1])
-        for name, col in (
-            ("start_ns", start_ns), ("end_ns", end_ns), ("state", state)
-        ):
-            if col.shape != (n,):
-                raise ValueError(
-                    f"column {name!r} has {col.shape[0]} entries, expected {n}"
-                )
-        self.duration_ns = duration_ns
-        self.nproc = nproc
-        self.offsets = offsets
-        self.start_ns = start_ns
-        self.end_ns = end_ns
-        self.state = state
-
-    @property
-    def duration(self) -> float:
-        return self.duration_ns / _NS
-
-    @property
-    def n_intervals(self) -> int:
-        return int(self.offsets[-1])
-
-    def state_time(self, rank: int, kind: str) -> float:
-        """State seconds for one rank; matches ``PrvTrace.state_time``.
-
-        Summed left to right over materialised floats, exactly like the
-        record path, so the two representations agree bit for bit.
-        """
-        state_id = STATE_IDS[kind]
-        lo, hi = int(self.offsets[rank]), int(self.offsets[rank + 1])
-        mask = self.state[lo:hi] == state_id
-        starts = self.start_ns[lo:hi][mask].tolist()
-        ends = self.end_ns[lo:hi][mask].tolist()
-        return sum(e / _NS - s / _NS for s, e in zip(starts, ends))
-
-    def to_prv_trace(self) -> PrvTrace:
-        """Materialise :class:`Interval` objects (lossless)."""
-        names = _STATE_NAMES
-        intervals: list[list[Interval]] = []
-        offsets = self.offsets.tolist()
-        starts = self.start_ns.tolist()
-        ends = self.end_ns.tolist()
-        states = self.state.tolist()
-        for rank in range(self.nproc):
-            intervals.append([
-                Interval(starts[g] / _NS, ends[g] / _NS, names[states[g]])
-                for g in range(offsets[rank], offsets[rank + 1])
-            ])
-        return PrvTrace(
-            duration=self.duration_ns / _NS, nproc=self.nproc,
-            intervals=intervals,
-        )
-
-    @classmethod
-    def from_prv_trace(cls, trace: PrvTrace) -> "ColumnarPrv":
-        """Columnarise a parsed trace (timestamps re-quantised to ns)."""
-        counts = [len(ivs) for ivs in trace.intervals]
-        offsets = np.zeros(trace.nproc + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        n = int(offsets[-1])
-        start_ns = np.zeros(n, dtype=np.int64)
-        end_ns = np.zeros(n, dtype=np.int64)
-        state = np.zeros(n, dtype=np.int8)
-        g = 0
-        for ivs in trace.intervals:
-            for iv in ivs:
-                start_ns[g] = round(iv.start * _NS)
-                end_ns[g] = round(iv.end * _NS)
-                state[g] = STATE_IDS[iv.kind]
-                g += 1
-        return cls(
-            duration_ns=int(round(trace.duration * _NS)),
-            nproc=trace.nproc,
-            offsets=offsets,
-            start_ns=start_ns,
-            end_ns=end_ns,
-            state=state,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"<ColumnarPrv nproc={self.nproc} "
-            f"intervals={self.n_intervals} duration={self.duration:.6f}s>"
-        )
 
 
 def write_prv(
@@ -193,15 +79,8 @@ def write_prv(
             stream.close()
 
 
-def parse_prv(
-    path_or_file: str | os.PathLike | IO[str], columnar: bool = False
-) -> PrvTrace | ColumnarPrv:
-    """Parse a file produced by :func:`write_prv`.
-
-    With ``columnar=True`` the integer nanosecond timestamps go
-    straight into :class:`ColumnarPrv` columns instead of per-interval
-    objects; ``.to_prv_trace()`` recovers the exact record-path result.
-    """
+def parse_prv(path_or_file: str | os.PathLike | IO[str]) -> PrvTrace:
+    """Parse a file produced by :func:`write_prv`."""
     own = False
     if hasattr(path_or_file, "read"):
         stream = path_or_file  # type: ignore[assignment]
@@ -218,7 +97,6 @@ def parse_prv(
         except (IndexError, ValueError) as exc:
             raise ValueError(f"malformed .prv header {header!r}") from exc
         intervals: list[list[Interval]] = [[] for _ in range(nproc)]
-        cols: list[tuple[int, int, int, int]] = []  # (rank, start, end, state)
         for lineno, line in enumerate(stream, start=2):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -234,35 +112,11 @@ def parse_prv(
             kind = _STATE_NAMES.get(state)
             if kind is None:
                 raise ValueError(f"line {lineno}: unknown state id {state}")
-            if columnar:
-                cols.append((rank, int(start_s), int(end_s), state))
-            else:
-                intervals[rank].append(
-                    Interval(int(start_s) / _NS, int(end_s) / _NS, kind)
-                )
-        if not columnar:
-            return PrvTrace(
-                duration=duration_ns / _NS, nproc=nproc, intervals=intervals
+            intervals[rank].append(
+                Interval(int(start_s) / _NS, int(end_s) / _NS, kind)
             )
-        if cols:
-            mat = np.array(cols, dtype=np.int64)
-        else:
-            mat = np.zeros((0, 4), dtype=np.int64)
-        ranks = mat[:, 0]
-        if ranks.size and np.any(ranks[:-1] > ranks[1:]):
-            order = np.argsort(ranks, kind="stable")
-            mat = mat[order]
-            ranks = mat[:, 0]
-        counts = np.bincount(ranks, minlength=nproc)
-        offsets = np.zeros(nproc + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return ColumnarPrv(
-            duration_ns=duration_ns,
-            nproc=nproc,
-            offsets=offsets,
-            start_ns=mat[:, 1].copy(),
-            end_ns=mat[:, 2].copy(),
-            state=mat[:, 3].astype(np.int8),
+        return PrvTrace(
+            duration=duration_ns / _NS, nproc=nproc, intervals=intervals
         )
     finally:
         if own:

@@ -16,28 +16,25 @@ import numpy as np
 
 from repro.core.timemodel import BetaTimeModel
 from repro.traces.columnar import K_COMPUTE, ColumnarTrace
-from repro.traces.records import ComputeBurst, MarkerRecord
-from repro.traces.trace import Trace
+from repro.traces.records import MarkerRecord
 
 __all__ = ["concat_traces", "cut_iterations", "scale_compute"]
 
 
 def scale_compute(
-    trace: Trace | ColumnarTrace,
+    trace: ColumnarTrace,
     frequencies: Sequence[float] | float,
     model: BetaTimeModel,
-) -> Trace | ColumnarTrace:
+) -> ColumnarTrace:
     """Rewrite compute-burst durations for per-rank frequencies.
 
-    Every :class:`ComputeBurst` of rank *k* gets duration
-    ``T * (beta * (fmax/f_k - 1) + 1)`` (per-burst β overrides honoured).
-    All other records pass through untouched.  The result's metadata
-    records the frequencies for provenance.
-
-    A :class:`ColumnarTrace` input is rewritten column-wise (no record
-    objects) and yields a :class:`ColumnarTrace` whose durations are
-    bit-identical to the record path's — the per-event arithmetic is
-    the same IEEE operations in the same order.
+    Every positive compute burst of rank *k* gets duration
+    ``T * (beta * (fmax/f_k - 1) + 1)`` (per-burst β overrides honoured)
+    and loses its β override; all other events pass through untouched.
+    The rewrite is column-wise — no record objects — and each duration
+    is the same IEEE product ``T * model.ratio(f_k, beta)`` a per-burst
+    loop would compute.  The result's metadata records the frequencies
+    for provenance.
 
     Note: the rescaled durations are *actual* times at the new frequency,
     so the resulting trace must be replayed at nominal speed (pass no
@@ -57,31 +54,6 @@ def scale_compute(
     meta = dict(trace.meta)
     meta["scaled_frequencies"] = [float(f) for f in freqs]
     meta["time_model"] = {"fmax": model.fmax, "beta": model.beta}
-    if isinstance(trace, ColumnarTrace):
-        return _scale_compute_columns(trace, freqs, model, meta)
-    out = Trace(trace.nproc, meta=meta)
-    for stream in trace:
-        f = freqs[stream.rank]
-        ratio_default = model.ratio(f)
-        new_records = []
-        for rec in stream:
-            if isinstance(rec, ComputeBurst) and rec.duration > 0.0:
-                ratio = ratio_default if rec.beta is None else model.ratio(f, rec.beta)
-                # the rewritten burst is an *actual* duration: β no longer
-                # applies to it, so drop the override
-                rec = ComputeBurst(rec.duration * ratio, phase=rec.phase)
-            new_records.append(rec)
-        out[stream.rank].records = new_records
-    return out
-
-
-def _scale_compute_columns(
-    trace: ColumnarTrace,
-    freqs: np.ndarray,
-    model: BetaTimeModel,
-    meta: dict,
-) -> ColumnarTrace:
-    """Column-wise :func:`scale_compute` (bit-identical to the record path)."""
     duration = trace.duration.copy()
     beta = trace.beta.copy()
     offsets = trace.offsets
@@ -120,7 +92,7 @@ def _scale_compute_columns(
     )
 
 
-def cut_iterations(trace: Trace, first: int, last: int) -> Trace:
+def cut_iterations(trace: ColumnarTrace, first: int, last: int) -> ColumnarTrace:
     """Extract iterations ``first..last`` (inclusive) of the trace.
 
     Iterations are delimited by :class:`MarkerRecord` entries with
@@ -134,8 +106,7 @@ def cut_iterations(trace: Trace, first: int, last: int) -> Trace:
         raise ValueError(f"bad iteration range [{first}, {last}]")
     meta = dict(trace.meta)
     meta["cut"] = {"first": first, "last": last}
-    out = Trace(trace.nproc, meta=meta)
-    saw_any = False
+    streams = []
     for stream in trace:
         current = -1  # -1 = initialization, not part of any iteration
         kept = []
@@ -144,17 +115,16 @@ def cut_iterations(trace: Trace, first: int, last: int) -> Trace:
                 current = rec.iteration
             if first <= current <= last and current >= 0:
                 kept.append(rec)
-                saw_any = True
-        out[stream.rank].records = kept
-    if not saw_any:
+        streams.append(kept)
+    if not any(streams):
         raise ValueError(
             f"no records in iterations [{first}, {last}]; does the trace "
             "carry iteration markers?"
         )
-    return out
+    return ColumnarTrace.from_streams(streams, meta=meta)
 
 
-def concat_traces(traces: Sequence[Trace]) -> Trace:
+def concat_traces(traces: Sequence[ColumnarTrace]) -> ColumnarTrace:
     """Concatenate same-world traces back-to-back (e.g. repeat a region)."""
     if not traces:
         raise ValueError("need at least one trace")
@@ -164,8 +134,7 @@ def concat_traces(traces: Sequence[Trace]) -> Trace:
             raise ValueError(
                 f"cannot concat traces with different worlds: {t.nproc} vs {nproc}"
             )
-    out = Trace(nproc, meta=dict(traces[0].meta))
-    for rank in range(nproc):
-        for t in traces:
-            out[rank].records.extend(t[rank].records)
-    return out
+    return ColumnarTrace.from_streams(
+        ([rec for t in traces for rec in t[rank]] for rank in range(nproc)),
+        meta=traces[0].meta,
+    )

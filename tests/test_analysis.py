@@ -14,11 +14,11 @@ from repro.traces.analysis import (
     trace_stats,
 )
 from repro.traces.records import CollectiveRecord, ComputeBurst, MarkerRecord
-from repro.traces.trace import Trace
+from repro.traces.columnar import ColumnarTrace
 
 
 def trace_with_times(times, phase=""):
-    return Trace.from_streams([[ComputeBurst(t, phase=phase)] for t in times])
+    return ColumnarTrace.from_streams([[ComputeBurst(t, phase=phase)] for t in times])
 
 
 class TestLoadBalance:
@@ -69,7 +69,7 @@ class TestHelpers:
         assert compute_times(t).tolist() == [1.0, 2.0, 3.0]
 
     def test_compute_times_by_phase(self):
-        t = Trace.from_streams(
+        t = ColumnarTrace.from_streams(
             [
                 [ComputeBurst(1.0, phase="a"), ComputeBurst(2.0, phase="b")],
                 [ComputeBurst(3.0, phase="a")],
@@ -84,19 +84,19 @@ class TestHelpers:
         assert imbalance_time(t) == pytest.approx((4 - 4) + (4 - 2) + (4 - 1))
 
     def test_iteration_count_from_markers(self):
-        t = Trace.from_streams(
+        t = ColumnarTrace.from_streams(
             [[MarkerRecord("iter", 0), ComputeBurst(1.0), MarkerRecord("iter", 1)]]
         )
         assert iteration_count(t) == 2
 
     def test_iteration_count_ignores_unnumbered_markers(self):
-        t = Trace.from_streams([[MarkerRecord("note"), ComputeBurst(1.0)]])
+        t = ColumnarTrace.from_streams([[MarkerRecord("note"), ComputeBurst(1.0)]])
         assert iteration_count(t) == 0
 
 
 class TestTraceStats:
     def test_stats_fields(self):
-        t = Trace.from_streams(
+        t = ColumnarTrace.from_streams(
             [
                 [MarkerRecord("iter", 0), ComputeBurst(4.0),
                  CollectiveRecord("allreduce", 8)],
@@ -125,7 +125,7 @@ class TestCommunicationMatrix:
         from repro.traces.analysis import communication_matrix
         from repro.traces.records import IsendRecord, SendRecord, WaitRecord
 
-        t = Trace.from_streams(
+        t = ColumnarTrace.from_streams(
             [
                 [SendRecord(1, 100), IsendRecord(2, 50, request=0), WaitRecord(0)],
                 [SendRecord(2, 25)],
@@ -144,7 +144,7 @@ class TestCommunicationMatrix:
         from repro.traces.analysis import top_communicators
         from repro.traces.records import SendRecord
 
-        t = Trace.from_streams(
+        t = ColumnarTrace.from_streams(
             [[SendRecord(1, 10), SendRecord(2, 300)], [SendRecord(2, 200)], []]
         )
         top = top_communicators(t, k=2)

@@ -18,7 +18,7 @@ from repro.traces.analysis import (
     load_balance,
     parallel_efficiency,
 )
-from repro.traces.trace import Trace
+from repro.traces.columnar import ColumnarTrace
 
 
 def trace_of(app):
@@ -52,7 +52,7 @@ class TestSkeletonStructure:
                                       "SPECFEM3D-16", "WRF-16", "PEPC-16"])
     def test_traces_are_structurally_valid(self, name):
         app = build_app(name, iterations=2)
-        trace = Trace.from_streams(
+        trace = ColumnarTrace.from_streams(
             [list(p) for p in app.programs()], meta={"name": app.name}
         )
         trace.validate()

@@ -100,6 +100,43 @@ class TestCorruption:
         assert third.cache.hits == 1
         assert third.cache.corrupt == 0
 
+    def test_record_trace_blob_is_a_corrupt_miss(self, tmp_path, monkeypatch):
+        """A ``"trace"`` blob pickled from the retired record-object
+        ``repro.traces.trace.Trace`` class fails closed: the Runner
+        counts it corrupt, records the trace again and prices exactly
+        like a cold run."""
+        import sys
+        import types
+
+        from repro.traces.columnar import ColumnarTrace
+
+        legacy = types.ModuleType("repro.traces.trace")
+
+        class Trace:  # stand-in with the retired class's import path
+            def __init__(self, nproc, meta):
+                self.meta = dict(meta)
+                self.streams = [[] for _ in range(nproc)]
+
+        Trace.__module__, Trace.__qualname__ = legacy.__name__, "Trace"
+        legacy.Trace = Trace
+        cold = make_runner(tmp_path / "cold").balance("CG-16", uniform_gear_set(6))
+
+        runner = make_runner(tmp_path / "warm")
+        payload = runner._trace_payload("CG-16")
+        with monkeypatch.context() as patch:
+            patch.setitem(sys.modules, legacy.__name__, legacy)
+            runner.cache.put("trace", payload, Trace(16, {"name": "CG-16"}))
+        assert legacy.__name__ not in sys.modules
+
+        report = runner.balance("CG-16", uniform_gear_set(6))
+        assert runner.cache.corrupt == 1  # the legacy trace blob
+        assert isinstance(runner.trace("CG-16"), ColumnarTrace)
+        assert json.dumps(report.to_json()) == json.dumps(cold.to_json())
+        # the re-recorded trace replaced the legacy blob
+        assert isinstance(
+            ResultCache(tmp_path / "warm").get("trace", payload), ColumnarTrace
+        )
+
     def test_cold_miss_is_not_counted_corrupt(self, tmp_path):
         cache = ResultCache(tmp_path)
         assert cache.get("report", {"k": 1}) is None

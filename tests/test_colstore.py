@@ -97,15 +97,15 @@ class TestRoundTrip:
     @settings(max_examples=40, deadline=None)
     @given(streams=st.lists(stream_records(), min_size=NPROC, max_size=NPROC))
     def test_fuzz_round_trip_all_nine_kinds(self, tmp_path_factory, streams):
-        """save -> open(mmap=True) -> to_records identity, fuzzed over
+        """save -> open(mmap=True) -> records_of identity, fuzzed over
         all nine record kinds (wildcards, β overrides, unicode labels,
         ragged waitall pools)."""
-        trace = ColumnarTrace.from_trace(record_trace(streams))
+        trace = record_trace(streams)
         path = tmp_path_factory.mktemp("fuzz") / f"t{STORE_EXTENSION}"
         trace.save(path)
         mapped = ColumnarTrace.open(path, mmap=True)
         assert_traces_equal(trace, mapped)
-        assert mapped.to_trace().streams == record_trace(streams).streams
+        assert [mapped.records_of(r) for r in range(NPROC)] == streams
         mapped.detach_mapping()
 
 
@@ -262,21 +262,27 @@ class TestJsonioDispatch:
         path = tmp_path / f"t{STORE_EXTENSION}"
         write_trace(app_trace, path)
         assert is_store_file(path)
-        back = read_trace(path, columnar=True)
+        back = read_trace(path)
         assert_traces_equal(app_trace, back)
-        mapped = read_trace(path, columnar=True, mmap=True)
+        mapped = read_trace(path, mmap=True)
         assert mapped.is_mapped
         assert_traces_equal(app_trace, mapped)
         mapped.detach_mapping()
 
     def test_record_trace_converts_on_write(self, tmp_path):
+        """A DES-recorded trace stores and reads back record for record."""
+        from repro.core.balancer import record_app
+        from repro.netsim.simulator import MpiSimulator
         from repro.traces.jsonio import read_trace, write_trace
 
-        trace = build_app("CG-32", iterations=2).columnar_trace().to_trace()
+        app = build_app("CG-32", iterations=2)
+        trace = record_app(MpiSimulator(), app)
         path = tmp_path / f"t{STORE_EXTENSION}"
         write_trace(trace, path)
         back = read_trace(path)
-        assert back.streams == trace.streams
+        assert_traces_equal(trace, back)
+        for rank in range(app.nproc):
+            assert back.records_of(rank) == list(app.rank_program(rank))
 
     def test_jsonl_round_trip_through_store(self, tmp_path, app_trace):
         """jsonl -> store -> jsonl is byte-identical."""
@@ -285,9 +291,9 @@ class TestJsonioDispatch:
         j1 = tmp_path / "a.jsonl"
         write_trace(app_trace, j1)
         store = tmp_path / f"t{STORE_EXTENSION}"
-        write_trace(read_trace(j1, columnar=True), store)
+        write_trace(read_trace(j1), store)
         j2 = tmp_path / "b.jsonl"
-        write_trace(read_trace(store, columnar=True, mmap=True), j2)
+        write_trace(read_trace(store, mmap=True), j2)
         assert j1.read_bytes() == j2.read_bytes()
 
     def test_prv_round_trip_through_store(self, tmp_path, app_trace):
@@ -314,17 +320,17 @@ class TestJsonioDispatch:
         from repro.traces.jsonio import dumps_trace, loads_trace
 
         text = dumps_trace(app_trace)
-        back = loads_trace(text, columnar=True)
+        back = loads_trace(text)
         assert_traces_equal(app_trace, back)
         # no trailing newline must also parse
-        back2 = loads_trace(text.rstrip("\n"), columnar=True)
+        back2 = loads_trace(text.rstrip("\n"))
         assert_traces_equal(app_trace, back2)
 
 
 class TestCompileIdentity:
     def test_mmap_compile_bit_identical(self, tmp_path):
-        """compile + price from mapped columns == in-memory columnar ==
-        record path, to the last bit / byte."""
+        """compile + price from mapped columns == in-memory columns, to
+        the last bit / byte."""
         from repro.core.balancer import PowerAwareLoadBalancer
         from repro.core.gears import uniform_gear_set
 

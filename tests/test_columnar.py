@@ -1,14 +1,15 @@
 """Columnar trace storage: losslessness, byte-identity, scaling hooks.
 
-The columnar layout is only allowed to exist because it is
-*indistinguishable* from the record-object path: same records back,
-same JSON bytes, same compile tape, same makespans, same balance
-reports.  These tests pin every one of those contracts, with
+The columnar trace must be *indistinguishable* from the record programs
+it was built from: same records back, same JSON bytes, same compile
+tape, same makespans, same balance reports, whichever route built it
+(DES recording, skeleton emission, file readers).  These tests pin every
+one of those contracts against independent per-record oracles, with
 hypothesis driving the codec round-trips over adversarial streams
 (wildcard receives, per-burst β overrides, unicode phase labels).
 """
 
-import io
+import json
 
 import numpy as np
 import pytest
@@ -24,21 +25,22 @@ from repro.netsim.compiled import (
     compile_world,
 )
 from repro.netsim.platform import MYRINET_LIKE
-from repro.netsim.simulator import MpiSimulator
 from repro.traces.columnar import (
     BYTES_PER_EVENT,
     ColumnarTrace,
     ColumnarTraceBuilder,
 )
 from repro.traces.jsonio import dumps_trace, loads_trace
-from repro.traces.prv import ColumnarPrv, parse_prv, write_prv
 from repro.traces.records import (
     ANY_SOURCE,
     ANY_TAG,
     COLLECTIVE_OPS,
     CollectiveRecord,
+    ComputeBurst,
+    IsendRecord,
+    SendRecord,
+    record_to_dict,
 )
-from repro.traces.trace import Trace
 from repro.traces.transform import scale_compute
 
 MODEL = BetaTimeModel(fmax=2.3, beta=0.5)
@@ -109,10 +111,23 @@ def stream_records(draw):
 
 
 def record_trace(streams):
-    trace = Trace(NPROC, meta={"name": "fuzz", "nproc": NPROC})
+    """The fuzz world as a trace (meta as a recorded trace carries it)."""
+    return ColumnarTrace.from_streams(
+        streams, meta={"name": "fuzz", "nproc": NPROC}
+    )
+
+
+def expected_json(streams, meta):
+    """The JSON-lines document, written straight from the records."""
+    header = {
+        "format": "repro-trace", "version": 1, "nproc": len(streams),
+        "meta": meta,
+    }
+    lines = [json.dumps(header)]
     for rank, records in enumerate(streams):
-        trace.streams[rank].records = list(records)
-    return trace
+        for rec in records:
+            lines.append(json.dumps({"rank": rank, **record_to_dict(rec)}))
+    return "".join(line + "\n" for line in lines)
 
 
 class TestLosslessRoundTrip:
@@ -121,12 +136,11 @@ class TestLosslessRoundTrip:
         stream_records(), min_size=NPROC, max_size=NPROC
     ))
     def test_records_survive_columnarisation(self, streams):
-        trace = record_trace(streams)
-        ct = ColumnarTrace.from_trace(trace)
-        back = ct.to_trace()
+        ct = record_trace(streams)
         for rank in range(NPROC):
-            assert back[rank].records == trace[rank].records
-        assert back.meta == trace.meta
+            assert ct.records_of(rank) == streams[rank]
+            assert list(ct[rank]) == streams[rank]
+        assert ct.meta == {"name": "fuzz", "nproc": NPROC}
         assert ct.n_events == sum(len(s) for s in streams)
 
     @settings(max_examples=50, deadline=None)
@@ -134,35 +148,33 @@ class TestLosslessRoundTrip:
         stream_records(), min_size=NPROC, max_size=NPROC
     ))
     def test_jsonio_bytes_and_columnar_load(self, streams):
-        trace = record_trace(streams)
-        ct = ColumnarTrace.from_trace(trace)
-        text_rec = dumps_trace(trace)
-        text_col = dumps_trace(ct)
-        assert text_rec == text_col  # byte-identical serialisation
-        loaded_col = loads_trace(text_rec, columnar=True)
-        assert isinstance(loaded_col, ColumnarTrace)
-        loaded_rec = loads_trace(text_rec)
+        ct = record_trace(streams)
+        text = dumps_trace(ct)
+        assert text == expected_json(streams, ct.meta)
+        loaded = loads_trace(text)
+        assert isinstance(loaded, ColumnarTrace)
         for rank in range(NPROC):
-            assert (
-                loaded_col.records_of(rank) == loaded_rec[rank].records
-            )
-        # and writing the columnar load reproduces the file again
-        assert dumps_trace(loaded_col) == text_rec
+            assert loaded.records_of(rank) == streams[rank]
+        # and writing the load reproduces the file again
+        assert dumps_trace(loaded) == text
 
     @settings(max_examples=25, deadline=None)
     @given(streams=st.lists(
         stream_records(), min_size=NPROC, max_size=NPROC
     ))
     def test_analyses_agree(self, streams):
-        trace = record_trace(streams)
-        ct = ColumnarTrace.from_trace(trace)
-        for rank in range(NPROC):
-            assert ct[rank].compute_time() == trace[rank].compute_time()
-            assert (
-                ct[rank].compute_time_by_phase()
-                == trace[rank].compute_time_by_phase()
+        ct = record_trace(streams)
+        for rank, records in enumerate(streams):
+            bursts = [r for r in records if isinstance(r, ComputeBurst)]
+            by_phase: dict[str, float] = {}
+            for r in bursts:
+                by_phase[r.phase] = by_phase.get(r.phase, 0.0) + r.duration
+            assert ct[rank].compute_time() == sum(r.duration for r in bursts)
+            assert ct[rank].compute_time_by_phase() == by_phase
+            assert ct[rank].bytes_sent() == sum(
+                r.nbytes for r in records
+                if isinstance(r, (SendRecord, IsendRecord))
             )
-            assert ct[rank].bytes_sent() == trace[rank].bytes_sent()
 
 
 class TestBuilder:
@@ -209,9 +221,8 @@ class TestBuilder:
 
 class TestValidateParity:
     def test_valid_trace_passes_both(self, small_trace):
-        ct = ColumnarTrace.from_trace(small_trace)
-        small_trace.validate()
-        ct.validate()  # must not raise either
+        small_trace.validate()  # DES-recorded
+        build_app("CG-8", iterations=2).columnar_trace().validate()
 
     @pytest.mark.parametrize("breaker, message", [
         (lambda b: b.send(0, 5, 10), "out of range"),
@@ -254,11 +265,13 @@ class TestEmitterEquivalence:
         app = build_app(spec, iterations=2)
         balancer = PowerAwareLoadBalancer(gear_set=uniform_gear_set(6))
         recorded = balancer.trace_app(app)
-        ct = balancer.trace_app(app, columnar=True)
-        assert isinstance(ct, ColumnarTrace)
+        ct = app.columnar_trace()
+        ct.meta.setdefault("nproc", ct.nproc)
+        assert isinstance(recorded, ColumnarTrace)
         assert ct.meta == recorded.meta
         for rank in range(app.nproc):
-            assert ct.records_of(rank) == recorded[rank].records
+            assert recorded.records_of(rank) == list(app.rank_program(rank))
+            assert ct.records_of(rank) == recorded.records_of(rank)
 
     def test_synthetic_matches_recorded(self):
         from repro.apps.synthetic import build_synthetic
@@ -267,10 +280,7 @@ class TestEmitterEquivalence:
             nproc=8, target_lb=0.7, target_pe=0.5,
             shape="wave", pattern="mixed", phases=2,
         )
-        assert (
-            app.columnar_trace().to_trace()[3].records
-            == list(app.rank_program(3))
-        )
+        assert app.columnar_trace().records_of(3) == list(app.rank_program(3))
 
 
 class TestCompiledIdentity:
@@ -281,7 +291,11 @@ class TestCompiledIdentity:
         app = build_app(spec, iterations=2)
         p_rec = compile_world(app.programs(), MYRINET_LIKE, MODEL)
         p_col = compile_columnar_world(app.columnar_trace(), MYRINET_LIKE, MODEL)
-        assert p_rec.instrs == p_col.instrs
+        for pool in (
+            "_codes", "_arg1", "_arg2", "_wait_off", "_wait_kind",
+            "_wait_slot", "_marker_label", "_marker_iter", "_brank",
+        ):
+            assert getattr(p_rec, pool) == getattr(p_col, pool), pool
         assert p_rec._dur == p_col._dur
         assert p_rec._beta == p_col._beta
         assert p_rec._wire_eager == p_col._wire_eager
@@ -317,34 +331,64 @@ class TestCompiledIdentity:
 class TestBalanceReportIdentity:
     @pytest.mark.parametrize("engine", ["auto", "des", "compiled"])
     def test_report_json_byte_identical(self, engine):
+        """DES-recorded and skeleton-emitted traces price identically."""
         app = build_app("CG-16", iterations=2)
         r_rec = PowerAwareLoadBalancer(
             uniform_gear_set(6), engine=engine
         ).balance_app(app)
+        emitted = app.columnar_trace()
+        emitted.meta.setdefault("nproc", emitted.nproc)
         r_col = PowerAwareLoadBalancer(
             uniform_gear_set(6), engine=engine
-        ).balance_app(app, columnar=True)
+        ).balance_trace(emitted)
         assert r_rec.to_json() == r_col.to_json()
+
+
+def scaled_records(records, f, model):
+    """Per-record oracle of :func:`scale_compute` for one rank."""
+    out = []
+    for rec in records:
+        if isinstance(rec, ComputeBurst) and rec.duration > 0.0:
+            beta = model.beta if rec.beta is None else rec.beta
+            rec = ComputeBurst(
+                rec.duration * model.ratio(f, beta), phase=rec.phase
+            )
+        out.append(rec)
+    return out
 
 
 class TestScaleCompute:
     def test_columnar_scaling_bit_identical(self, small_trace):
-        ct = ColumnarTrace.from_trace(small_trace)
         freqs = [1.2 + 0.1 * (r % 4) for r in range(small_trace.nproc)]
-        scaled_rec = scale_compute(small_trace, freqs, MODEL)
-        scaled_col = scale_compute(ct, freqs, MODEL)
-        assert isinstance(scaled_col, ColumnarTrace)
-        assert scaled_col.meta == scaled_rec.meta
+        scaled = scale_compute(small_trace, freqs, MODEL)
+        assert isinstance(scaled, ColumnarTrace)
+        assert scaled.meta == {
+            **small_trace.meta,
+            "scaled_frequencies": freqs,
+            "time_model": {"fmax": MODEL.fmax, "beta": MODEL.beta},
+        }
         for rank in range(small_trace.nproc):
-            assert (
-                scaled_col.records_of(rank) == scaled_rec[rank].records
+            assert scaled.records_of(rank) == scaled_records(
+                small_trace.records_of(rank), freqs[rank], MODEL
+            )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        streams=st.lists(stream_records(), min_size=NPROC, max_size=NPROC),
+        freqs=st.lists(st.floats(0.8, 2.6), min_size=NPROC, max_size=NPROC),
+    )
+    def test_scaling_matches_per_record_rule(self, streams, freqs):
+        scaled = scale_compute(record_trace(streams), freqs, MODEL)
+        for rank in range(NPROC):
+            assert scaled.records_of(rank) == scaled_records(
+                streams[rank], freqs[rank], MODEL
             )
 
     def test_beta_override_honoured_then_dropped(self):
-        trace = Trace(1)
-        trace[0].append(vmpi.compute(1.0, beta=0.25))
-        trace[0].append(vmpi.compute(0.0, beta=0.75))  # zero: untouched
-        ct = ColumnarTrace.from_trace(trace)
+        ct = ColumnarTrace.from_streams([[
+            vmpi.compute(1.0, beta=0.25),
+            vmpi.compute(0.0, beta=0.75),  # zero: untouched
+        ]])
         out = scale_compute(ct, 1.15, MODEL)
         burst, untouched = out.records_of(0)
         assert burst.duration == 1.0 * MODEL.ratio(1.15, 0.25)
@@ -352,44 +396,15 @@ class TestScaleCompute:
         assert untouched.beta == 0.75
 
 
-class TestPrvColumnar:
-    @pytest.fixture()
-    def prv_text(self):
-        app = build_app("CG-8", iterations=2)
-        result = MpiSimulator().run(app.programs(), record_intervals=True)
-        buf = io.StringIO()
-        write_prv(result, buf)
-        return buf.getvalue()
-
-    def test_parse_modes_agree(self, prv_text):
-        rec = parse_prv(io.StringIO(prv_text))
-        col = parse_prv(io.StringIO(prv_text), columnar=True)
-        assert isinstance(col, ColumnarPrv)
-        assert col.nproc == rec.nproc
-        assert col.duration == rec.duration
-        back = col.to_prv_trace()
-        assert back.intervals == rec.intervals
-        for rank in range(rec.nproc):
-            for kind in ("compute", "send", "recv", "wait", "collective"):
-                assert col.state_time(rank, kind) == rec.state_time(
-                    rank, kind
-                )
-
-    def test_round_trip_through_columns(self, prv_text):
-        rec = parse_prv(io.StringIO(prv_text))
-        again = ColumnarPrv.from_prv_trace(rec).to_prv_trace()
-        assert again.intervals == rec.intervals
-        assert again.duration == rec.duration
-
-
 class TestCliColumnar:
     def test_trace_command_writes_identical_file(self, tmp_path, capsys):
+        """DES recording and shard-parallel emission write one file."""
         from repro.cli import main
 
         rec_path = tmp_path / "rec.jsonl"
         col_path = tmp_path / "col.jsonl"
         assert main(["trace", "CG-8", "-o", str(rec_path)]) == 0
         assert main(
-            ["trace", "CG-8", "-o", str(col_path), "--columnar"]
+            ["trace", "CG-8", "-o", str(col_path), "--jobs", "2"]
         ) == 0
         assert rec_path.read_bytes() == col_path.read_bytes()

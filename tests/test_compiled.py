@@ -347,10 +347,10 @@ class TestCompileCache:
         assert first is second
 
     def test_negative_cache_re_raises(self):
-        from repro.traces.trace import Trace
+        from repro.traces.columnar import ColumnarTrace
 
         programs = [[vmpi.send(1, 64)], [vmpi.recv()]]
-        trace = Trace.from_streams(programs)
+        trace = ColumnarTrace.from_streams(programs)
         engine = CompiledReplayEngine(MYRINET_LIKE, MODEL)
         with pytest.raises(UnsupportedWorldError):
             engine.compile_trace(trace)

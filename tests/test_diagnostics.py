@@ -44,13 +44,13 @@ from repro.traces.records import (
     SendRecord,
     WaitRecord,
 )
-from repro.traces.trace import Trace
+from repro.traces.columnar import ColumnarTrace
 
 RENDEZVOUS = PlatformConfig(eager_threshold=100)
 
 
 def marked(records_per_rank, meta=None):
-    return Trace.from_streams(
+    return ColumnarTrace.from_streams(
         [[MarkerRecord("iter", 0), *recs] for recs in records_per_rank],
         meta=meta,
     )
@@ -123,7 +123,7 @@ class TestDeadlockDetector:
         found = lint_trace_subject(trace, RENDEZVOUS)
         errors = [d for d in found if d.severity is Severity.ERROR]
         assert codes(errors) == {"TR008"}
-        # pair counts are balanced: the old W003 heuristic saw nothing
+        # pair counts are balanced: the TR003 heuristic sees nothing
         assert "TR003" not in codes(found)
 
     def test_three_rank_circular_wait(self):
@@ -466,9 +466,9 @@ class TestLintCli:
 
 
 class TestLegacyShim:
-    def test_w006_reports_each_collective_index(self):
-        from repro.traces.lint import lint_trace
+    """Cases first written for the W-code linter, now on TR codes."""
 
+    def test_w006_reports_each_collective_index(self):
         trace = marked(
             [
                 [
@@ -483,17 +483,15 @@ class TestLegacyShim:
                 ],
             ]
         )
-        w006 = [w for w in lint_trace(trace) if w.code == "W006"]
-        assert len(w006) == 2
-        assert "#0" in w006[0].message and "#1" in w006[1].message
+        tr006 = [d for d in lint_trace_subject(trace) if d.code == "TR006"]
+        assert len(tr006) == 2
+        assert "#0" in tr006[0].message and "#1" in tr006[1].message
 
     def test_sort_is_deterministic_and_rank_none_first(self):
-        from repro.traces.lint import lint_trace
-
-        trace = Trace.from_streams(
-            [[ComputeBurst(0.01)], []]  # W001 trace-wide + W002 rank 1
+        trace = ColumnarTrace.from_streams(
+            [[ComputeBurst(0.01)], []]  # TR001 trace-wide + TR002 rank 1
         )
-        warnings = lint_trace(trace)
-        key = [(w.code, w.rank is not None, w.rank or 0) for w in warnings]
+        found = lint_trace_subject(trace)
+        key = [(d.code, d.rank is not None, d.rank or 0) for d in found]
         assert key == sorted(key)
-        assert warnings[0].code == "W001" and warnings[0].rank is None
+        assert found[0].code == "TR001" and found[0].rank is None

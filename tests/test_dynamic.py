@@ -56,9 +56,9 @@ class TestJitter:
 
     def test_requires_iteration_markers(self):
         from repro.traces.records import ComputeBurst
-        from repro.traces.trace import Trace
+        from repro.traces.columnar import ColumnarTrace
 
-        bare = Trace.from_streams([[ComputeBurst(1.0)], [ComputeBurst(2.0)]])
+        bare = ColumnarTrace.from_streams([[ComputeBurst(1.0)], [ComputeBurst(2.0)]])
         with pytest.raises(ValueError, match="iteration"):
             JitterRuntime(gear_set=uniform_gear_set(6)).run(bare)
 

@@ -22,7 +22,7 @@ from repro.netsim.simulator import MpiSimulator
 from repro.simx.errors import DeadlockError
 from repro.traces.jsonio import dumps_trace, loads_trace
 from repro.traces.records import ComputeBurst
-from repro.traces.trace import Trace
+from repro.traces.columnar import ColumnarTrace
 
 EASY = PlatformConfig(
     latency=0.0, bandwidth=1e9, send_overhead=0.0, recv_overhead=0.0,
@@ -73,7 +73,7 @@ class TestZeroWork:
         assert report.normalized_energy < 1.0
 
     def test_all_marker_trace_round_trips(self):
-        t = Trace.from_streams([[vmpi.marker("only", 0)]])
+        t = ColumnarTrace.from_streams([[vmpi.marker("only", 0)]])
         t2 = loads_trace(dumps_trace(t))
         assert t2.total_records() == 1
 
@@ -176,8 +176,10 @@ def list_like(gen):
 
 class TestUnicodeAndMeta:
     def test_unicode_trace_name_round_trips(self):
-        t = Trace(2, meta={"name": "seismic-wave-模拟", "β": 0.5})
-        t[0].append(ComputeBurst(1.0))
+        t = ColumnarTrace.from_streams(
+            [[ComputeBurst(1.0)], []],
+            meta={"name": "seismic-wave-模拟", "β": 0.5},
+        )
         t2 = loads_trace(dumps_trace(t))
         assert t2.meta["name"] == "seismic-wave-模拟"
         assert t2.meta["β"] == 0.5

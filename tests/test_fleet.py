@@ -9,6 +9,7 @@ spawn costs.  One suite (:class:`TestSupervisor`) spawns the genuine
 """
 
 import json
+import os
 import pickle
 import socket
 import threading
@@ -647,6 +648,14 @@ class TestFleetDrain:
 # Real subprocess supervision
 # ----------------------------------------------------------------------
 
+def group_exists(pgid: int) -> bool:
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 class TestSupervisor:
     def test_fleet_of_two_serves_and_drains(self, tmp_path):
         from repro.service import FleetConfig, FleetThread
@@ -702,6 +711,7 @@ class TestSupervisor:
                 timeout=120,
             )
             replica = fleet.supervisor.replicas[0]
+            old_pid = replica.proc.pid
             replica.proc.kill()
             wait_for(lambda: replica.restarts >= 1, timeout=30)
             wait_for(
@@ -709,6 +719,12 @@ class TestSupervisor:
                 and fleet.client.healthz()["fleet"]["ready"] == 1,
                 timeout=120,
             )
+            # the crashed replica's process group (its worker pool and
+            # resource tracker) died with it; the killed members are
+            # orphans, so the group vanishes once init has reaped them
+            wait_for(lambda: not group_exists(old_pid), timeout=30)
+            with pytest.raises(ProcessLookupError):
+                os.killpg(old_pid, 0)
             # the ring re-admits the replica on the next poll tick
             wait_for(lambda: fleet.supervisor.router.any_ready, timeout=30)
             assert fleet.client.balance(

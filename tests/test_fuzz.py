@@ -15,7 +15,7 @@ from repro.apps import vmpi
 from repro.core.timemodel import BetaTimeModel
 from repro.netsim.platform import PlatformConfig
 from repro.netsim.simulator import MpiSimulator
-from repro.traces.trace import Trace
+from repro.traces.columnar import ColumnarTrace
 
 PLATFORM = PlatformConfig(
     latency=1e-5, bandwidth=1e8, eager_threshold=4096,
@@ -85,7 +85,7 @@ class TestFuzzedWorlds:
     def test_completes_and_conserves_time(self, world):
         nproc, messages, bursts, colls = world
         programs = build_programs(nproc, messages, bursts, colls)
-        trace = Trace.from_streams([list(p) for p in programs])
+        trace = ColumnarTrace.from_streams([list(p) for p in programs])
         trace.validate()
 
         sim = MpiSimulator(platform=PLATFORM)

@@ -11,7 +11,7 @@ from repro.traces.iterstats import (
     per_iteration_compute_times,
 )
 from repro.traces.records import ComputeBurst, MarkerRecord
-from repro.traces.trace import Trace
+from repro.traces.columnar import ColumnarTrace
 
 
 def marked_trace(matrix):
@@ -24,7 +24,7 @@ def marked_trace(matrix):
             recs.append(MarkerRecord("iter", it))
             recs.append(ComputeBurst(float(matrix[it][rank])))
         streams.append(recs)
-    return Trace.from_streams(streams)
+    return ColumnarTrace.from_streams(streams)
 
 
 class TestPerIterationTimes:
@@ -34,19 +34,19 @@ class TestPerIterationTimes:
         assert times.tolist() == matrix
 
     def test_initialization_excluded(self):
-        t = Trace.from_streams(
+        t = ColumnarTrace.from_streams(
             [[ComputeBurst(99.0), MarkerRecord("iter", 0), ComputeBurst(1.0)]]
         )
         times = per_iteration_compute_times(t)
         assert times.tolist() == [[1.0]]
 
     def test_markerless_trace_rejected(self):
-        t = Trace.from_streams([[ComputeBurst(1.0)]])
+        t = ColumnarTrace.from_streams([[ComputeBurst(1.0)]])
         with pytest.raises(ValueError, match="iteration markers"):
             per_iteration_compute_times(t)
 
     def test_disagreeing_ranks_rejected(self):
-        t = Trace.from_streams(
+        t = ColumnarTrace.from_streams(
             [
                 [MarkerRecord("iter", 0), ComputeBurst(1.0)],
                 [MarkerRecord("iter", 1), ComputeBurst(1.0)],

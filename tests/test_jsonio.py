@@ -5,16 +5,18 @@ import io
 import pytest
 
 from repro.traces.jsonio import dumps_trace, loads_trace, read_trace, write_trace
+from repro.traces.columnar import ColumnarTrace
 from repro.traces.records import CollectiveRecord, ComputeBurst, SendRecord
-from repro.traces.trace import Trace
 
 
-def sample_trace() -> Trace:
-    t = Trace(2, meta={"name": "sample", "tags": ["a", "b"]})
-    t[0].append(ComputeBurst(1.5, phase="p", beta=0.3))
-    t[0].append(SendRecord(1, 4096, tag=3))
-    t[1].append(CollectiveRecord("allreduce", 64))
-    return t
+def sample_trace() -> ColumnarTrace:
+    return ColumnarTrace.from_streams(
+        [
+            [ComputeBurst(1.5, phase="p", beta=0.3), SendRecord(1, 4096, tag=3)],
+            [CollectiveRecord("allreduce", 64)],
+        ],
+        meta={"name": "sample", "tags": ["a", "b"]},
+    )
 
 
 class TestRoundTrip:

@@ -1,9 +1,14 @@
-"""Unit tests for the trace linter."""
+"""Unit tests for the advisory trace rules TR001–TR007.
+
+Test names keep the rules' original ``w00x`` numbering: rule TR00x was
+advisory check W00x.
+"""
 
 from repro.apps import build_app
+from repro.diagnostics import lint_trace_subject
 from repro.netsim.platform import PlatformConfig
 from repro.netsim.simulator import MpiSimulator
-from repro.traces.lint import lint_trace
+from repro.traces.columnar import ColumnarTrace
 from repro.traces.records import (
     ANY_SOURCE,
     CollectiveRecord,
@@ -12,16 +17,15 @@ from repro.traces.records import (
     RecvRecord,
     SendRecord,
 )
-from repro.traces.trace import Trace
 
 
-def codes(warnings):
-    return {w.code for w in warnings}
+def codes(diagnostics):
+    return {d.code for d in diagnostics}
 
 
 def marked(records_per_rank):
-    """Prefix every rank with an iteration marker (suppresses W001)."""
-    return Trace.from_streams(
+    """Prefix every rank with an iteration marker (suppresses TR001)."""
+    return ColumnarTrace.from_streams(
         [[MarkerRecord("iter", 0), *recs] for recs in records_per_rank]
     )
 
@@ -34,17 +38,17 @@ class TestChecks:
                 [ComputeBurst(0.02), RecvRecord(0)],
             ]
         )
-        assert lint_trace(t) == []
+        assert lint_trace_subject(t) == []
 
     def test_w001_missing_markers(self):
-        t = Trace.from_streams([[ComputeBurst(0.01)], [ComputeBurst(0.01)]])
-        assert "W001" in codes(lint_trace(t))
+        t = ColumnarTrace.from_streams([[ComputeBurst(0.01)], [ComputeBurst(0.01)]])
+        assert "TR001" in codes(lint_trace_subject(t))
 
     def test_w002_idle_rank(self):
         t = marked([[ComputeBurst(0.01)], []])
-        warnings = [w for w in lint_trace(t) if w.code == "W002"]
-        assert len(warnings) == 1
-        assert warnings[0].rank == 1
+        found = [d for d in lint_trace_subject(t) if d.code == "TR002"]
+        assert len(found) == 1
+        assert found[0].rank == 1
 
     def test_w003_unmatched_pair(self):
         t = marked(
@@ -53,9 +57,9 @@ class TestChecks:
                 [ComputeBurst(0.01), RecvRecord(0)],
             ]
         )
-        w003 = [w for w in lint_trace(t) if w.code == "W003"]
-        assert len(w003) == 1
-        assert "2 send(s) vs 1 recv(s)" in w003[0].message
+        tr003 = [d for d in lint_trace_subject(t) if d.code == "TR003"]
+        assert len(tr003) == 1
+        assert "2 send(s) vs 1 recv(s)" in tr003[0].message
 
     def test_w003_suppressed_by_wildcard(self):
         t = marked(
@@ -64,7 +68,7 @@ class TestChecks:
                 [ComputeBurst(0.01), RecvRecord(ANY_SOURCE), RecvRecord(0)],
             ]
         )
-        assert "W003" not in codes(lint_trace(t))
+        assert "TR003" not in codes(lint_trace_subject(t))
 
     def test_w004_wildcards_flagged(self):
         t = marked(
@@ -73,7 +77,7 @@ class TestChecks:
                 [ComputeBurst(0.01), RecvRecord(ANY_SOURCE)],
             ]
         )
-        assert "W004" in codes(lint_trace(t))
+        assert "TR004" in codes(lint_trace_subject(t))
 
     def test_w005_eager_cliff(self):
         platform = PlatformConfig(eager_threshold=1000)
@@ -83,7 +87,7 @@ class TestChecks:
                 [ComputeBurst(0.01), RecvRecord(0)],
             ]
         )
-        assert "W005" in codes(lint_trace(t, platform))
+        assert "TR005" in codes(lint_trace_subject(t, platform))
         # well above the threshold: no cliff warning
         t2 = marked(
             [
@@ -91,7 +95,7 @@ class TestChecks:
                 [ComputeBurst(0.01), RecvRecord(0)],
             ]
         )
-        assert "W005" not in codes(lint_trace(t2, platform))
+        assert "TR005" not in codes(lint_trace_subject(t2, platform))
 
     def test_w006_collective_spread(self):
         t = marked(
@@ -100,12 +104,12 @@ class TestChecks:
                 [ComputeBurst(0.01), CollectiveRecord("alltoall", 10)],
             ]
         )
-        assert "W006" in codes(lint_trace(t))
+        assert "TR006" in codes(lint_trace_subject(t))
 
     def test_w007_overhead_dominated(self):
         platform = PlatformConfig(latency=1e-3)
         t = marked([[ComputeBurst(1e-6) for _ in range(8)]] * 2)
-        assert "W007" in codes(lint_trace(t, platform))
+        assert "TR007" in codes(lint_trace_subject(t, platform))
 
 
 class TestOnRealTraces:
@@ -114,19 +118,19 @@ class TestOnRealTraces:
         trace = MpiSimulator().run(
             app.programs(), record_trace=True, meta={"name": app.name}
         ).trace
-        findings = codes(lint_trace(trace))
+        findings = codes(lint_trace_subject(trace))
         # structural hygiene: no missing markers, idle ranks or leaks
-        assert not findings & {"W001", "W002", "W003"}
+        assert not findings & {"TR001", "TR002", "TR003"}
 
     def test_is_weighted_alltoall_triggers_spread(self):
         app = build_app("IS-32", iterations=2)
         trace = MpiSimulator().run(
             app.programs(), record_trace=True, meta={"name": app.name}
         ).trace
-        assert "W006" in codes(lint_trace(trace))
+        assert "TR006" in codes(lint_trace_subject(trace))
 
     def test_warning_str_format(self):
-        t = Trace.from_streams([[ComputeBurst(0.01)], []])
-        text = [str(w) for w in lint_trace(t)]
-        assert any(w.startswith("W001:") for w in text)
-        assert any("(rank 1)" in w for w in text)
+        t = ColumnarTrace.from_streams([[ComputeBurst(0.01)], []])
+        text = [str(d) for d in lint_trace_subject(t)]
+        assert any(d.startswith("TR001 ") for d in text)
+        assert any("(rank 1)" in d for d in text)

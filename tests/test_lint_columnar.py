@@ -1,53 +1,56 @@
-"""Columnar-native lint: record/columnar diagnostic identity.
+"""Columnar-native lint: the vectorised trace queries against oracles.
 
-The tentpole contract of the scale-aware diagnostics engine: linting a
-:class:`ColumnarTrace` produces **diagnostic-identical** output to
-linting the equivalent record-object trace — same codes, same messages,
-same ranks/indices, same sort order — while never materialising a
-record object.  Hypothesis drives the identity property over all nine
-record kinds (wildcard receives and waitalls included) on two platforms
-(eager-friendly and rendezvous-heavy); deliberate-deadlock fixtures pin
-the TR008/TR009/TR010 replay paths at 4096 ranks.
+The trace rule pack reads every trace through
+:class:`~repro.diagnostics.traceview.ColumnarTraceView`, whose queries
+are numpy expressions over the pooled columns.  Two independent oracles
+pin them:
+
+* TR001–TR007: :class:`RecordTraceView` below answers the same queries
+  by walking each rank's materialised records; Hypothesis drives the
+  query-by-query comparison over all nine record kinds (wildcard
+  receives and waitalls included) on two platforms (eager-friendly and
+  rendezvous-heavy).
+* TR008–TR010: the static deadlock replay must name exactly the ranks
+  the DES reports blocked, over structurally valid, wildcard-free worlds
+  generated by construction.
+
+Deliberate-deadlock fixtures pin the TR008/TR009/TR010 findings at 4096
+ranks, and poisoned accessors prove the lint path never materialises a
+record object.
 """
 
 import dataclasses
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from repro.apps import vmpi
+from repro.diagnostics.deadlock import analyze_deadlock
 from repro.diagnostics.engine import LintConfig, lint_trace_subject
 from repro.diagnostics.model import Severity
-from repro.diagnostics.traceview import (
-    ColumnarTraceView,
-    RecordTraceView,
-    is_columnar,
-    make_view,
-)
+from repro.diagnostics.traceview import ColumnarTraceView
 from repro.netsim.platform import MYRINET_LIKE
+from repro.netsim.simulator import MpiSimulator
+from repro.simx.errors import DeadlockError, SimulationError
 from repro.traces.columnar import (
     ColumnarRankView,
     ColumnarTrace,
     ColumnarTraceBuilder,
 )
-from repro.traces.records import ComputeBurst
-from repro.traces.trace import Trace
+from repro.traces.records import (
+    ANY_SOURCE,
+    CollectiveRecord,
+    ComputeBurst,
+    IrecvRecord,
+    IsendRecord,
+    MarkerRecord,
+    RecvRecord,
+    SendRecord,
+)
 
 from tests.test_columnar import NPROC, record_trace, stream_records
-
-#: Everything a diagnostic carries that the identity contract covers.
-def _key(diag):
-    return (
-        diag.code,
-        diag.severity,
-        diag.domain,
-        diag.subject,
-        diag.rank,
-        diag.index,
-        diag.message,
-        diag.fix,
-    )
-
 
 #: Tiny eager threshold: most fuzzed sends go rendezvous, exercising
 #: the blocking-send replay paths the default platform rarely hits.
@@ -58,19 +61,126 @@ RENDEZVOUS = dataclasses.replace(
 CONFIG = LintConfig()
 
 
-def assert_identical(trace, platform=None, subject="fuzz"):
-    ct = (
-        trace
-        if isinstance(trace, ColumnarTrace)
-        else ColumnarTrace.from_trace(trace)
-    )
-    rt = ct.to_trace()
-    record_diags = lint_trace_subject(rt, platform, subject, CONFIG)
-    columnar_diags = lint_trace_subject(ct, platform, subject, CONFIG)
-    assert [_key(d) for d in record_diags] == [
-        _key(d) for d in columnar_diags
-    ]
-    return columnar_diags
+class RecordTraceView:
+    """Oracle: the trace rules' queries as per-record walks.
+
+    Each rank's records are materialised once (``ColumnarRankView``
+    iteration) and every query is a plain loop over them, independent of
+    the vectorised column expressions it checks.
+    """
+
+    def __init__(self, trace):
+        self.streams = [list(view) for view in trace]
+
+    def has_iteration_markers(self):
+        return any(
+            isinstance(rec, MarkerRecord) and rec.iteration >= 0
+            for rec in self.streams[0]
+        )
+
+    def silent_ranks(self):
+        return [
+            rank
+            for rank, records in enumerate(self.streams)
+            if sum(r.duration for r in records if isinstance(r, ComputeBurst))
+            == 0.0
+        ]
+
+    def pair_counts(self):
+        sends, recvs, wildcard_recv_ranks = {}, {}, set()
+        for rank, records in enumerate(self.streams):
+            for rec in records:
+                if isinstance(rec, (SendRecord, IsendRecord)):
+                    key = (rank, rec.dst)
+                    sends[key] = sends.get(key, 0) + 1
+                elif isinstance(rec, (RecvRecord, IrecvRecord)):
+                    if rec.src == ANY_SOURCE:
+                        wildcard_recv_ranks.add(rank)
+                        continue
+                    key = (rec.src, rank)
+                    recvs[key] = recvs.get(key, 0) + 1
+        return sends, recvs, wildcard_recv_ranks
+
+    def _counts(self, predicate):
+        out = []
+        for rank, records in enumerate(self.streams):
+            n = sum(1 for rec in records if predicate(rec))
+            if n:
+                out.append((rank, n))
+        return out
+
+    def wildcard_recv_counts(self):
+        return self._counts(
+            lambda rec: isinstance(rec, (RecvRecord, IrecvRecord))
+            and rec.src == ANY_SOURCE
+        )
+
+    def eager_cliff_counts(self, threshold):
+        return self._counts(
+            lambda rec: isinstance(rec, (SendRecord, IsendRecord))
+            and threshold < rec.nbytes <= int(threshold * 1.1)
+        )
+
+    def collective_alignment(self):
+        sequences = [
+            [rec for rec in records if isinstance(rec, CollectiveRecord)]
+            for records in self.streams
+        ]
+        if not sequences[0]:
+            return [], []
+        ops0 = [rec.op for rec in sequences[0]]
+        sizes = [
+            [seq[idx].nbytes for seq in sequences if idx < len(seq)]
+            for idx in range(len(sequences[0]))
+        ]
+        return ops0, sizes
+
+    def tiny_burst_counts(self, latency):
+        return [
+            (
+                rank,
+                sum(
+                    1 for rec in records
+                    if isinstance(rec, ComputeBurst)
+                    and 0.0 < rec.duration < latency
+                ),
+                len(records),
+            )
+            for rank, records in enumerate(self.streams)
+        ]
+
+
+def assert_views_agree(trace, platform=MYRINET_LIKE):
+    """Every trace-rule query: columns == per-record oracle."""
+    col, rec = ColumnarTraceView(trace), RecordTraceView(trace)
+    assert col.has_iteration_markers() == rec.has_iteration_markers()
+    assert col.silent_ranks() == rec.silent_ranks()
+    assert col.pair_counts() == rec.pair_counts()
+    assert col.wildcard_recv_counts() == rec.wildcard_recv_counts()
+    assert col.collective_alignment() == rec.collective_alignment()
+    # the platform's own thresholds, plus thresholds placed right at the
+    # data so the cliff and tiny-burst bands are actually populated
+    sizes = {
+        r.nbytes for s in rec.streams for r in s
+        if isinstance(r, (SendRecord, IsendRecord))
+    }
+    durations = {
+        r.duration for s in rec.streams for r in s
+        if isinstance(r, ComputeBurst)
+    }
+    for threshold in {platform.eager_threshold, *(n - 1 for n in sizes)}:
+        assert col.eager_cliff_counts(threshold) == rec.eager_cliff_counts(
+            threshold
+        )
+    for latency in {platform.latency, *(d * 1.5 for d in durations)}:
+        assert col.tiny_burst_counts(latency) == rec.tiny_burst_counts(latency)
+
+
+def assert_lints_cleanly(trace, platform=None, subject="fuzz"):
+    """Lint the trace; no rule may crash (DX000)."""
+    diags = lint_trace_subject(trace, platform, subject, CONFIG)
+    assert not [d for d in diags if d.code == "DX000"]
+    return diags
 
 
 class TestIdentityProperty:
@@ -79,25 +189,119 @@ class TestIdentityProperty:
         streams=st.lists(stream_records(), min_size=NPROC, max_size=NPROC)
     )
     def test_all_nine_kinds_default_platform(self, streams):
-        assert_identical(record_trace(streams), MYRINET_LIKE)
+        trace = record_trace(streams)
+        assert_views_agree(trace, MYRINET_LIKE)
+        assert_lints_cleanly(trace, MYRINET_LIKE)
 
     @settings(max_examples=60, deadline=None)
     @given(
         streams=st.lists(stream_records(), min_size=NPROC, max_size=NPROC)
     )
     def test_all_nine_kinds_rendezvous_platform(self, streams):
-        assert_identical(record_trace(streams), RENDEZVOUS)
-
-    def test_view_dispatch(self):
-        trace = Trace(2)
-        ct = ColumnarTrace.from_trace(trace)
-        assert not is_columnar(trace)
-        assert is_columnar(ct)
-        assert isinstance(make_view(trace), RecordTraceView)
-        assert isinstance(make_view(ct), ColumnarTraceView)
+        trace = record_trace(streams)
+        assert_views_agree(trace, RENDEZVOUS)
+        assert_lints_cleanly(trace, RENDEZVOUS)
 
 
 BIG = MYRINET_LIKE.eager_threshold + 1  # rendezvous on the default net
+
+
+@st.composite
+def valid_worlds(draw):
+    """Structurally valid, wildcard-free worlds, deadlocked or not.
+
+    Every message gets a matching receive with the same tag, every
+    non-blocking request one wait after its post, every rank the same
+    collective sequence; only the per-rank interleaving is random, which
+    is what decides whether the world deadlocks.  Each (src, dst, tag)
+    channel carries one message size: the DES matches an eager message
+    only once it arrives, so on a channel mixing sizes (or protocols) a
+    later message can overtake an earlier one (``netsim/matching.py``)
+    and its matching is timing-dependent, like a wildcard's.
+    """
+    nproc = draw(st.integers(2, 4))
+    keys = st.floats(0.0, 1.0)
+    items = [[] for _ in range(nproc)]  # per rank: (sort key, record)
+    next_request = [0] * nproc
+
+    def post(rank, side, peer, nbytes, tag):
+        """One message end: blocking, or non-blocking plus a later wait."""
+        key = draw(keys)
+        if draw(st.booleans()):
+            rec = (
+                vmpi.send(peer, nbytes, tag=tag) if side == "send"
+                else vmpi.recv(src=peer, tag=tag)
+            )
+            items[rank].append((key, rec))
+            return
+        request = next_request[rank]
+        next_request[rank] += 1
+        rec = (
+            vmpi.isend(peer, nbytes, tag=tag, request=request)
+            if side == "send"
+            else vmpi.irecv(src=peer, tag=tag, request=request)
+        )
+        items[rank].append((key, rec))
+        items[rank].append((key + draw(st.floats(1e-3, 1.0)), vmpi.wait(request)))
+
+    sizes = {}  # (src, dst, tag) -> the channel's one message size
+    for _ in range(draw(st.integers(0, 6))):
+        src = draw(st.integers(0, nproc - 1))
+        dst = (src + draw(st.integers(1, nproc - 1))) % nproc
+        tag = draw(st.integers(0, 1))
+        nbytes = sizes.get((src, dst, tag))
+        if nbytes is None:
+            nbytes = sizes[(src, dst, tag)] = draw(st.sampled_from([8, BIG]))
+        post(src, "send", dst, nbytes, tag)
+        post(dst, "recv", src, nbytes, tag)
+    ops = draw(st.lists(st.sampled_from(["barrier", "allreduce"]), max_size=2))
+    for rank in range(nproc):
+        items[rank].append((draw(keys), vmpi.compute(0.001 * (rank + 1))))
+        coll_keys = sorted(draw(keys) for _ in ops)
+        for key, op in zip(coll_keys, ops):
+            items[rank].append(
+                (key, CollectiveRecord(op, 8 if op == "allreduce" else 0))
+            )
+    return [
+        [rec for _, rec in sorted(ranked, key=lambda kr: kr[0])]
+        for ranked in items
+    ]
+
+
+def des_blocked_ranks(streams, platform):
+    """Ranks the DES leaves blocked (empty when the run completes)."""
+    try:
+        MpiSimulator(platform).run(streams)
+    except DeadlockError as exc:
+        return {
+            int(m.group(1))
+            for line in exc.blocked
+            if (m := re.match(r"rank(\d+) waiting", line))
+        }
+    return set()
+
+
+class TestDeadlockAgainstDes:
+    """The static replay's verdict is the DES's, rank for rank."""
+
+    @pytest.mark.parametrize(
+        "platform", [MYRINET_LIKE, RENDEZVOUS], ids=["default", "rendezvous"]
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(streams=valid_worlds())
+    def test_blocked_ranks_match_des(self, platform, streams):
+        trace = ColumnarTrace.from_streams(streams)
+        trace.validate()  # valid by construction
+        try:
+            expected = des_blocked_ranks(streams, platform)
+        except SimulationError as exc:
+            # any other DES failure is reported, not compared
+            event(f"DES raised {type(exc).__name__}")
+            return
+        event("deadlocked" if expected else "completed")
+        report = analyze_deadlock(trace, platform)
+        assert {b.rank for b in report.blocked} == expected
+        assert report.deadlocked == bool(expected)
 
 
 def _ring_deadlock(nproc: int) -> ColumnarTrace:
@@ -141,9 +345,9 @@ class TestDeadlockFixtures4k:
     NRANKS = 4096
 
     def test_ring_deadlock_identity_and_tr008(self):
-        diags = assert_identical(
-            _ring_deadlock(self.NRANKS), subject="ring"
-        )
+        trace = _ring_deadlock(self.NRANKS)
+        assert_views_agree(trace)
+        diags = assert_lints_cleanly(trace, subject="ring")
         tr008 = [d for d in diags if d.code == "TR008"]
         assert len(tr008) == 1
         assert tr008[0].severity is Severity.ERROR
@@ -151,18 +355,18 @@ class TestDeadlockFixtures4k:
         assert f"r{self.NRANKS - 1}" in tr008[0].message
 
     def test_orphan_identity_and_tr009(self):
-        diags = assert_identical(
-            _orphan_world(self.NRANKS), subject="orphan"
-        )
+        trace = _orphan_world(self.NRANKS)
+        assert_views_agree(trace)
+        diags = assert_lints_cleanly(trace, subject="orphan")
         tr009 = [d for d in diags if d.code == "TR009"]
         assert len(tr009) == 1
         assert tr009[0].rank == self.NRANKS - 1
         assert "recv from rank 0" in tr009[0].message
 
     def test_collective_clash_identity_and_tr010(self):
-        diags = assert_identical(
-            _collective_clash(self.NRANKS), subject="clash"
-        )
+        trace = _collective_clash(self.NRANKS)
+        assert_views_agree(trace)
+        diags = assert_lints_cleanly(trace, subject="clash")
         tr010 = [d for d in diags if d.code == "TR010"]
         assert len(tr010) == 1
         assert (
@@ -181,8 +385,6 @@ class TestNoMaterialization:
                 "record materialisation on the columnar lint path"
             )
 
-        monkeypatch.setattr(ColumnarTrace, "to_trace", boom)
-        monkeypatch.setattr(ColumnarTrace, "record_at", boom)
         monkeypatch.setattr(ColumnarTrace, "records_of", boom)
         monkeypatch.setattr(ColumnarRankView, "__iter__", boom)
 
@@ -247,10 +449,10 @@ class TestNoMaterialization:
 
 class TestSuppressionParity:
     def test_lint_ignore_meta_respected_on_columnar(self):
-        trace = Trace(2, meta={"name": "supp", "lint-ignore": ["TR001"]})
-        trace[0].append(ComputeBurst(duration=1.0))
-        trace[1].append(ComputeBurst(duration=1.0))
-        ct = ColumnarTrace.from_trace(trace)
+        ct = ColumnarTrace.from_streams(
+            [[ComputeBurst(duration=1.0)], [ComputeBurst(duration=1.0)]],
+            meta={"name": "supp", "lint-ignore": ["TR001"]},
+        )
         diags = lint_trace_subject(ct, MYRINET_LIKE, "supp", CONFIG)
         assert not [d for d in diags if d.code == "TR001"]
-        assert_identical(ct, MYRINET_LIKE, "supp")
+        assert_views_agree(ct)

@@ -90,9 +90,9 @@ class TestSinglePhaseEquivalence:
 class TestValidation:
     def test_empty_trace_rejected(self):
         from repro.traces.records import MarkerRecord
-        from repro.traces.trace import Trace
+        from repro.traces.columnar import ColumnarTrace
 
-        bare = Trace.from_streams([[MarkerRecord("iter", 0)]])
+        bare = ColumnarTrace.from_streams([[MarkerRecord("iter", 0)]])
         with pytest.raises(ValueError, match="no compute"):
             PhaseAwareLoadBalancer(gear_set=uniform_gear_set(6)).balance_trace(bare)
 

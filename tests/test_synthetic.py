@@ -7,7 +7,7 @@ from repro.core.balancer import PowerAwareLoadBalancer
 from repro.core.gears import uniform_gear_set
 from repro.netsim.simulator import MpiSimulator
 from repro.traces.analysis import load_balance, parallel_efficiency
-from repro.traces.trace import Trace
+from repro.traces.columnar import ColumnarTrace
 
 
 def trace_of(app):
@@ -42,7 +42,7 @@ class TestCalibration:
                 nproc=12, target_lb=0.75, target_pe=0.6, pattern=pattern,
                 iterations=2,
             )
-            Trace.from_streams([list(p) for p in app.programs()]).validate()
+            ColumnarTrace.from_streams([list(p) for p in app.programs()]).validate()
 
 
 class TestPhases:

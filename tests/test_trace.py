@@ -1,4 +1,4 @@
-"""Unit tests for Trace / RankStream containers and structural validation."""
+"""Unit tests for the trace container, its per-rank views and validation."""
 
 import pytest
 
@@ -12,21 +12,27 @@ from repro.traces.records import (
     WaitallRecord,
     WaitRecord,
 )
-from repro.traces.trace import RankStream, Trace
+from repro.traces.columnar import ColumnarTrace
 
 
 def two_rank_trace(records0, records1):
-    return Trace.from_streams([records0, records1])
+    return ColumnarTrace.from_streams([records0, records1])
+
+
+def rank_view(records):
+    """Rank 0's view of a one-rank trace holding ``records``."""
+    return ColumnarTrace.from_streams([records])[0]
 
 
 class TestRankStream:
+    """The per-rank read surface (:class:`ColumnarRankView`)."""
+
     def test_compute_time_sums_bursts(self):
-        s = RankStream(0, [ComputeBurst(1.0), SendRecord(1, 10), ComputeBurst(2.5)])
+        s = rank_view([ComputeBurst(1.0), SendRecord(1, 10), ComputeBurst(2.5)])
         assert s.compute_time() == pytest.approx(3.5)
 
     def test_compute_time_by_phase(self):
-        s = RankStream(
-            0,
+        s = rank_view(
             [
                 ComputeBurst(1.0, phase="a"),
                 ComputeBurst(2.0, phase="b"),
@@ -36,14 +42,13 @@ class TestRankStream:
         assert s.compute_time_by_phase() == {"a": 1.5, "b": 2.0}
 
     def test_bytes_sent_counts_send_and_isend(self):
-        s = RankStream(
-            0,
+        s = rank_view(
             [SendRecord(1, 100), IsendRecord(1, 50, request=0), WaitRecord(0)],
         )
         assert s.bytes_sent() == 150
 
     def test_count_by_kind(self):
-        s = RankStream(0, [ComputeBurst(1.0), ComputeBurst(1.0), SendRecord(1, 1)])
+        s = rank_view([ComputeBurst(1.0), ComputeBurst(1.0), SendRecord(1, 1)])
         assert s.count("compute") == 2
         assert s.count("send") == 1
         assert s.count("recv") == 0
@@ -51,13 +56,13 @@ class TestRankStream:
 
 class TestTraceBasics:
     def test_nproc_and_len(self):
-        t = Trace(4)
+        t = ColumnarTrace.from_streams([[]] * 4)
         assert t.nproc == 4
         assert len(t) == 4
 
     def test_zero_ranks_rejected(self):
         with pytest.raises(ValueError):
-            Trace(0)
+            ColumnarTrace.from_streams([])
 
     def test_from_streams_assigns_ranks_positionally(self):
         t = two_rank_trace([ComputeBurst(1.0)], [ComputeBurst(2.0)])
@@ -65,7 +70,7 @@ class TestTraceBasics:
         assert t[1].compute_time() == 2.0
 
     def test_name_from_meta(self):
-        t = Trace(2, meta={"name": "CG-2"})
+        t = ColumnarTrace.from_streams([[]] * 2, meta={"name": "CG-2"})
         assert t.name == "CG-2"
 
     def test_total_records(self):
@@ -87,7 +92,7 @@ class TestValidate:
             t.validate()
 
     def test_self_send_rejected(self):
-        t = Trace.from_streams([[SendRecord(0, 10)]])
+        t = ColumnarTrace.from_streams([[SendRecord(0, 10)]])
         # dst==rank is only detectable with >=1 rank; build rank0 self-send
         with pytest.raises(ValueError, match="self-send"):
             t.validate()

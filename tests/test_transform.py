@@ -4,14 +4,14 @@ import pytest
 
 from repro.core.timemodel import BetaTimeModel
 from repro.traces.records import ComputeBurst, MarkerRecord, SendRecord
-from repro.traces.trace import Trace
+from repro.traces.columnar import ColumnarTrace
 from repro.traces.transform import concat_traces, cut_iterations, scale_compute
 
 MODEL = BetaTimeModel(fmax=2.3, beta=0.5)
 
 
 def simple_trace():
-    return Trace.from_streams(
+    return ColumnarTrace.from_streams(
         [
             [ComputeBurst(1.0), SendRecord(1, 10)],
             [ComputeBurst(2.0)],
@@ -45,7 +45,7 @@ class TestScaleCompute:
         assert scaled[0].records[1] == SendRecord(1, 10)
 
     def test_per_burst_beta_override_honoured_then_dropped(self):
-        t = Trace.from_streams([[ComputeBurst(1.0, beta=1.0)]])
+        t = ColumnarTrace.from_streams([[ComputeBurst(1.0, beta=1.0)]])
         scaled = scale_compute(t, 1.15, MODEL)
         # beta=1: halving frequency doubles time
         burst = scaled[0].records[0]
@@ -86,7 +86,7 @@ class TestCutIterations:
                 recs.append(ComputeBurst(scale * (it + 1)))
             return recs
 
-        return Trace.from_streams([rank(1.0), rank(2.0)])
+        return ColumnarTrace.from_streams([rank(1.0), rank(2.0)])
 
     def test_cut_single_iteration(self):
         cut = cut_iterations(self.make_iter_trace(), 1, 1)
@@ -124,7 +124,7 @@ class TestConcat:
 
     def test_world_size_mismatch_rejected(self):
         with pytest.raises(ValueError, match="different worlds"):
-            concat_traces([simple_trace(), Trace(3)])
+            concat_traces([simple_trace(), ColumnarTrace.from_streams([[]] * 3)])
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from repro.traces.records import (
     IrecvRecord,
     WaitallRecord,
 )
-from repro.traces.trace import Trace
+from repro.traces.columnar import ColumnarTrace
 
 
 class TestConstructors:
@@ -114,7 +114,7 @@ class TestHalo2d:
 
     def test_symmetry_makes_valid_trace(self):
         nproc = 12
-        trace = Trace.from_streams(
+        trace = ColumnarTrace.from_streams(
             [list(vmpi.halo_exchange_2d(r, nproc, nbytes=8)) for r in range(nproc)]
         )
         trace.validate()
