@@ -126,6 +126,9 @@ class MpiSimulator:
         ``programs`` — one record iterable per rank (rank = index).
         ``frequencies`` — per-rank GHz (scalar broadcasts); ``None``
         means nominal speed (burst durations pass through unscaled).
+        ``record_trace`` — return the executed ops, in each rank's
+        program order, as ``RunResult.trace`` (a
+        :class:`~repro.traces.columnar.ColumnarTrace` carrying ``meta``).
         """
         nproc = len(programs)
         if nproc == 0:
