@@ -33,7 +33,11 @@ import pytest
 
 from repro.apps import build_app
 from repro.core.timemodel import BetaTimeModel
-from repro.netsim.compiled import CompiledReplayEngine, compile_world
+from repro.netsim.compiled import (
+    CompiledReplayEngine,
+    compile_columnar_world,
+    compile_world,
+)
 from repro.netsim.platform import MYRINET_LIKE
 
 FAMILY = "BT-MZ"
@@ -147,6 +151,84 @@ def test_memory_ceiling():
     per_event = trace.nbytes() / trace.total_records()
     assert per_event <= BASELINE["acceptance"]["bytes_per_event_max"], (
         f"columns cost {per_event:.1f} B/event at {largest} ranks"
+    )
+
+
+# --------------------------------------------------------------------------
+# Batch kernel: same-process ratio gates at the top of the grid
+# --------------------------------------------------------------------------
+#
+# ``evaluate_many`` runs each dependency level of the tape as one numpy
+# op, so a K-row grid must cost far less than K scalar replays even when
+# the first call pays for the level schedule, and the bounded chunked
+# sweep (one row per pass) must not pay a whole tape walk per row.
+# Both sides of each ratio run in this process, so a gate compares like
+# with like on any host.
+
+#: 8 scalar ``evaluate`` calls over (schedule build + one evaluate_many)
+SCHEDULED_VS_SCALAR_MIN = 2.5
+#: ``evaluate_assignments(chunk_size=1)`` over one ``evaluate_many``
+CHUNKED_VS_ONE_PASS_MAX = 1.5
+
+
+def _wall(fn) -> float:
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
+def test_batch_kernel_ratio_gates():
+    """At 4096 ranks: the scheduled batch pass beats the scalar loop,
+    and the one-row chunked sweep stays near the one-pass sweep."""
+    nproc = RANKS[-1]
+    if nproc in _WORLDS:
+        trace = _WORLDS[nproc][0]
+    else:  # standalone invocation of just this test
+        app = build_app(f"{FAMILY}-{nproc}", iterations=ITERATIONS)
+        trace = app.columnar_trace()
+    model = BetaTimeModel(fmax=2.3)
+    grid = _candidates(nproc)
+
+    first_pass = scalar = float("inf")
+    for _ in range(3):
+        # a fresh program: its first evaluate_many builds the schedule
+        program = compile_columnar_world(trace, MYRINET_LIKE, model)
+        first_pass = min(
+            first_pass, _wall(lambda: program.evaluate_many(grid))
+        )
+        scalar = min(
+            scalar, _wall(lambda: [program.evaluate(row) for row in grid])
+        )
+    engine = CompiledReplayEngine(MYRINET_LIKE, model)
+    program = engine.compile_trace(trace)
+    program.evaluate_many(grid)  # the schedule exists from here on
+    one_pass = chunked = float("inf")
+    for _ in range(5):  # interleaved, so host noise hits both sides
+        one_pass = min(one_pass, _wall(lambda: program.evaluate_many(grid)))
+        chunked = min(chunked, _wall(
+            lambda: engine.evaluate_assignments(trace, grid, chunk_size=1)
+        ))
+    speedup = scalar / first_pass
+    chunk_ratio = chunked / one_pass
+    _REPORT["batch_kernel"] = {
+        "ranks": nproc,
+        "rows": int(grid.shape[0]),
+        "scalar_s": round(scalar, 4),
+        "first_evaluate_many_s": round(first_pass, 4),
+        "evaluate_many_s": round(one_pass, 4),
+        "chunked_s": round(chunked, 4),
+        "scheduled_vs_scalar": round(speedup, 2),
+        "chunked_vs_one_pass": round(chunk_ratio, 2),
+    }
+    assert speedup >= SCHEDULED_VS_SCALAR_MIN, (
+        f"schedule + evaluate_many took {first_pass * 1e3:.0f} ms, only "
+        f"{speedup:.2f}x faster than {grid.shape[0]} scalar evaluate "
+        f"calls ({scalar * 1e3:.0f} ms; gate {SCHEDULED_VS_SCALAR_MIN}x)"
+    )
+    assert chunk_ratio <= CHUNKED_VS_ONE_PASS_MAX, (
+        f"evaluate_assignments(chunk_size=1) took {chunked * 1e3:.1f} ms, "
+        f"{chunk_ratio:.2f}x one evaluate_many ({one_pass * 1e3:.1f} ms; "
+        f"gate {CHUNKED_VS_ONE_PASS_MAX}x)"
     )
 
 

@@ -68,7 +68,7 @@ def nominal_replay(simulator: Any, trace: "ColumnarTrace") -> "RunResult":
     cache = getattr(trace, "_baseline_cache", None)
     if cache is None:
         cache = []
-        setattr(trace, "_baseline_cache", cache)  # plain attr; never pickled
+        setattr(trace, "_baseline_cache", cache)  # dropped on pickling
     for cached_key, result in cache:
         if cached_key == key:
             return result

@@ -13,9 +13,17 @@ assignment*:
   rendezvous wire costs, collective barriers with their analytic cost,
   and wait joins resolved to the message slots they synchronise on.
 * :class:`CompiledProgram.evaluate` replays the tape with plain float
-  arithmetic (no event heap, no generators); ``evaluate_many`` replays
-  it once for *K* assignments simultaneously with ``(K,)``-vectorised
-  numpy lanes, which is what makes gear-set sweeps cheap.
+  arithmetic (no event heap, no generators), one instruction at a time;
+  it is the oracle the batch pass is tested against.
+* ``evaluate_many`` prices *K* assignments at once.  On its first call
+  it levels the tape: an instruction sits one level above its rank's
+  previous instruction and above the writers of the message slots it
+  reads, and a collective sits alone above everything before it.  Each
+  (level, opcode) group then runs as one numpy op over ``(ranks, K)``
+  lanes, so a 4096-rank tape of ~156k instructions takes ~40 steps —
+  which is what makes gear-set sweeps cheap.  The grouping only
+  reorders independent instructions, so every lane still sees the
+  scalar kernel's operations in the same order (bit-identical rows).
 
 Equivalence guarantee
 ---------------------
@@ -54,7 +62,7 @@ from __future__ import annotations
 
 from array import array
 from time import perf_counter
-from typing import Any
+from typing import Any, NamedTuple
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -779,20 +787,249 @@ def _compile_columns(
     )
 
 
-def _pool_view(arr: array, dtype: Any) -> np.ndarray:
+def _pool_view(arr: array | bytearray, dtype: Any) -> np.ndarray:
     """Zero-copy numpy view over an ``array.array`` constant pool."""
     if len(arr) == 0:
         return np.empty(0, dtype=dtype)
     return np.frombuffer(arr, dtype=dtype)
 
 
+class _Schedule(NamedTuple):
+    """The tape grouped by dependency level, for ``evaluate_many``.
+
+    Group ``g`` is one (``level[g]``, ``code[g]``) pair holding
+    instructions ``[bounds[g], bounds[g+1])`` of the grouped tape; their
+    second tape arguments are those entries of ``arg``.  When the
+    group's ranks are consecutive, ``run[g]`` is the first of them and
+    the entries are in rank order; otherwise ``run[g]`` is -1 and the
+    ranks (a collective's index, for a ``_COLL`` group) are entries
+    ``[rank_at[g], rank_at[g+1])`` of ``rank``.  ``_WAIT`` joins are cut
+    into segments of one join position and one value kind: group ``g``
+    owns segments ``[group_seg[g], group_seg[g+1])``, in position order,
+    and segment ``s`` lists entries ``[seg_bounds[s], seg_bounds[s+1])``
+    of ``join_slot``.  A segment that covers only some waits of its
+    group names them (their indices in the group, ascending) in entries
+    ``[sel_at[s], sel_at[s+1])`` of ``join_sel``; one that covers all of
+    them, in group order, has an empty range there.
+
+    Eager arrivals are stored in the order the pass writes them: the
+    i-th ``_SEND_EAGER`` entry (its ``arg`` is still the message slot,
+    which names its wire time) fills arrival row i, and the ``arg`` of
+    a ``_RECV_EAGER`` entry and the ``join_slot`` of an eager join name
+    that row.  Rendezvous slots keep their tape numbering.
+    """
+
+    level: np.ndarray
+    code: np.ndarray
+    bounds: np.ndarray
+    run: np.ndarray
+    rank_at: np.ndarray
+    rank: np.ndarray
+    arg: np.ndarray
+    group_seg: np.ndarray
+    seg_kind: np.ndarray
+    seg_bounds: np.ndarray
+    sel_at: np.ndarray
+    join_sel: np.ndarray
+    join_slot: np.ndarray
+
+
+def _level_schedule(program: "CompiledProgram") -> _Schedule:
+    """Give every tape instruction a level and group the tape by it.
+
+    An instruction's level is one more than the highest level of its
+    rank's previous instruction and of the instructions that wrote the
+    message slots it reads; a collective sits alone, one level above
+    everything before it, and everything after it sits above it.
+    ``_MARKER`` and zero-join ``_WAIT`` instructions change no state and
+    are left out.  So within a level each rank appears once and every
+    slot read was written at a lower level: a (level, opcode) group can
+    run as one vectorised op, and each element still sees the IEEE
+    operations of a sequential tape walk in the same per-rank order.
+    """
+    nproc = program.nproc
+    woff, wkind, wslot = (
+        program._wait_off, program._wait_kind, program._wait_slot
+    )
+    n_rdv = len(program._wire_rdv)
+    rank_lev = [0] * nproc
+    arr_lev = array("i", bytes(4 * len(program._wire_eager)))
+    sp_lev = array("i", bytes(4 * n_rdv))
+    rp_lev = array("i", bytes(4 * n_rdv))
+    lev = array("i")
+    append = lev.append
+    # branches in order of frequency: this loop is the schedule's cost
+    for code, r, m in zip(program._codes, program._arg1, program._arg2):
+        if code == _COMPUTE or code == _IRECV_EAGER:
+            lv = rank_lev[r] + 1
+        elif code == _SEND_EAGER:
+            lv = arr_lev[m] = rank_lev[r] + 1
+        elif code == _WAIT:
+            lo, hi = woff[m], woff[m + 1]
+            if lo == hi:
+                append(-1)
+                continue
+            lv = rank_lev[r] + 1
+            for j in range(lo, hi):
+                s = wslot[j]
+                if wkind[j] == _VAL_ARR:
+                    w = arr_lev[s]
+                else:
+                    w = sp_lev[s]
+                    if rp_lev[s] > w:
+                        w = rp_lev[s]
+                if w >= lv:
+                    lv = w + 1
+        elif code == _RECV_EAGER:
+            lv = rank_lev[r] + 1
+            w = arr_lev[m]
+            if w >= lv:
+                lv = w + 1
+        elif code == _COLL:
+            # every rank's latest level is its highest so far
+            lv = max(rank_lev) + 1
+            rank_lev = [lv] * nproc
+            append(lv)
+            continue
+        elif code == _MARKER:
+            append(-1)
+            continue
+        else:
+            lv = rank_lev[r] + 1
+            if code == _SEND_RDV_POST or code == _ISEND_RDV:
+                sp_lev[m] = lv
+            elif code == _SEND_RDV_DONE:
+                w = sp_lev[m]
+                if rp_lev[m] > w:
+                    w = rp_lev[m]
+                if w >= lv:
+                    lv = w + 1
+            elif code == _RECV_RDV:
+                w = sp_lev[m]
+                if w >= lv:
+                    lv = w + 1
+                rp_lev[m] = lv
+            else:  # _IRECV_RDV
+                rp_lev[m] = lv
+        rank_lev[r] = lv
+        append(lv)
+    top = max(rank_lev)
+    del rank_lev, arr_lev, sp_lev, rp_lev, append
+
+    # group by (level, opcode); unscheduled instructions (level -1) get
+    # negative keys and sort first, and the stable sort keeps each
+    # group in tape order
+    codes = _pool_view(program._codes, np.uint8)
+    group_key = _pool_view(lev, np.int32).astype(
+        np.int32 if top < 1 << 26 else np.int64
+    )
+    del lev
+    group_key <<= 4
+    group_key += codes
+    order = np.argsort(group_key, kind="stable")
+    order = order[np.count_nonzero(group_key < 0):]
+    group_key = group_key[order]
+    bounds = np.flatnonzero(group_key[1:] != group_key[:-1]) + 1
+    bounds = np.concatenate(([0], bounds, [order.shape[0]]))
+    if not order.shape[0]:  # nothing to schedule: no groups
+        bounds = bounds[:1]
+    group_key = group_key[bounds[:-1]]
+    rank = _pool_view(program._arg1, np.int32)[order]
+    # a group whose ranks are consecutive is put in rank order, so the
+    # batch pass addresses its rows by slice; only the other groups
+    # keep their ranks
+    ngroups = bounds.shape[0] - 1
+    size = np.diff(bounds)
+    run = np.full(ngroups, -1, dtype=np.int32)
+    if ngroups:
+        low = np.minimum.reduceat(rank, bounds[:-1])
+        span = np.maximum.reduceat(rank, bounds[:-1]) - low + 1
+        consecutive = (span == size) & ((group_key & 15) != _COLL)
+        run[consecutive] = low[consecutive]
+        for g in np.flatnonzero(consecutive & (span > 1)).tolist():
+            a, b = bounds[g], bounds[g + 1]
+            place = np.empty_like(order[a:b])
+            place[rank[a:b] - low[g]] = order[a:b]
+            order[a:b] = place
+    rank = rank[np.repeat(run < 0, size)]
+    rank_at = np.zeros(ngroups + 1, dtype=np.int32)
+    np.cumsum(np.where(run < 0, size, 0), out=rank_at[1:])
+    arg = _pool_view(program._arg2, np.int32)[order]
+    entry_code = codes[order]
+    del order
+    # eager arrivals live in the rows the pass writes them to: the i-th
+    # _SEND_EAGER entry fills row i, so a send group writes one slice
+    # (its arg stays the message slot, for the wire time); receives and
+    # joins name rows
+    sends = np.flatnonzero(entry_code == _SEND_EAGER)
+    arr_row = np.zeros(len(program._wire_eager), dtype=np.int32)
+    arr_row[arg[sends]] = np.arange(sends.shape[0], dtype=np.int32)
+    recvs = np.flatnonzero(entry_code == _RECV_EAGER)
+    arg[recvs] = arr_row[arg[recvs]]
+    del sends, recvs
+
+    # wait joins: (group, join position, kind, wait-in-group) order
+    wpos = np.flatnonzero(entry_code == _WAIT)
+    del entry_code
+    offs = _pool_view(woff, np.int64)
+    wid = arg[wpos]
+    jlo = offs[wid]
+    nj = offs[wid + 1] - jlo
+    owner = np.repeat(np.arange(wpos.shape[0]), nj)
+    position = np.arange(owner.shape[0]) - np.repeat(np.cumsum(nj) - nj, nj)
+    join = jlo[owner] + position
+    jkind = _pool_view(wkind, np.uint8)[join]
+    jslot = _pool_view(wslot, np.int32)[join]
+    eager = jkind == _VAL_ARR
+    jslot[eager] = arr_row[jslot[eager]]
+    del arr_row, eager
+    wgroup = np.searchsorted(bounds, wpos, side="right") - 1
+    jgroup = wgroup[owner]
+    jsel = (wpos - bounds[wgroup])[owner]
+    perm = np.lexsort((jsel, jkind, position, jgroup))
+    jgroup, position, jkind = jgroup[perm], position[perm], jkind[perm]
+    if perm.shape[0]:
+        cut = np.flatnonzero(
+            (jgroup[1:] != jgroup[:-1]) | (position[1:] != position[:-1])
+            | (jkind[1:] != jkind[:-1])
+        ) + 1
+        seg_bounds = np.concatenate(([0], cut, [perm.shape[0]]))
+    else:
+        seg_bounds = np.zeros(1, dtype=np.int64)
+    seg_start = seg_bounds[:-1]
+    # only segments that miss some waits of their group keep join_sel
+    seg_size = np.diff(seg_bounds)
+    partial = seg_size != size[jgroup[seg_start]]
+    sel_at = np.zeros(seg_start.shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.where(partial, seg_size, 0), out=sel_at[1:])
+    return _Schedule(
+        level=(group_key >> 4).astype(np.int32),
+        code=(group_key & 15).astype(np.uint8),
+        bounds=bounds.astype(np.int32),
+        run=run,
+        rank_at=rank_at,
+        rank=rank,
+        arg=arg,
+        group_seg=np.searchsorted(
+            jgroup[seg_start], np.arange(ngroups + 1)
+        ).astype(np.int32),
+        seg_kind=jkind[seg_start],
+        seg_bounds=seg_bounds.astype(np.int32),
+        sel_at=sel_at,
+        join_sel=jsel[perm][np.repeat(partial, seg_size)].astype(np.int32),
+        join_slot=jslot[perm],
+    )
+
+
 class CompiledProgram:
     """A compiled world: an instruction tape plus its constant pools.
 
     ``evaluate`` prices one frequency vector bit-identically to the
-    DES; ``evaluate_many`` prices a ``(K, nproc)`` batch in one tape
-    pass.  Programs are immutable and reusable across any number of
-    evaluations (the whole point).
+    DES; ``evaluate_many`` prices a ``(K, nproc)`` batch in one
+    level-scheduled pass.  Programs are immutable and reusable across
+    any number of evaluations (the whole point); the only state added
+    later is the level schedule, built by the first ``evaluate_many``
+    and published with one attribute assignment.
 
     The tape is struct-of-arrays: one opcode byte plus two int32
     arguments per instruction (~9 B), with wait join lists, marker
@@ -844,6 +1081,10 @@ class CompiledProgram:
         self._np_dur = _pool_view(dur, float)
         self._np_beta = _pool_view(beta, float)
         self._np_brank = _pool_view(brank, np.int32)
+        self._np_wire_eager = _pool_view(wire_eager, float)
+        self._np_wire_rdv = _pool_view(wire_rdv, float)
+        #: level schedule, built by the first evaluate_many
+        self._sched: _Schedule | None = None
 
     @property
     def n_instructions(self) -> int:
@@ -1002,13 +1243,23 @@ class CompiledProgram:
     def evaluate_many(
         self, frequencies: Any, *, burst_block: int | None = None
     ) -> dict[str, np.ndarray]:
-        """Price K assignments in one vectorised tape pass.
+        """Price K assignments in one level-scheduled pass over the tape.
 
-        ``frequencies`` is a ``(K, nproc)`` array-like of per-rank GHz.
-        Returns ``execution_time`` ``(K,)`` plus per-rank
-        ``compute_times`` / ``comm_times`` / ``end_times`` ``(K,
-        nproc)`` — each row bit-identical to :meth:`evaluate` (markers
-        are not materialised in batch mode).
+        ``frequencies`` is a ``(K, nproc)`` array-like of per-rank GHz,
+        each positive and finite.  Returns ``execution_time`` ``(K,)``
+        plus per-rank ``compute_times`` / ``comm_times`` / ``end_times``
+        ``(K, nproc)`` (C-contiguous) — each row bit-identical to
+        :meth:`evaluate` (markers are not materialised in batch mode).
+
+        The first call builds the program's level schedule (see
+        :func:`_level_schedule`) and caches it on the program.  The pass
+        then keeps one row of K lanes per rank and per message slot and
+        runs each (level, opcode) group of the schedule as one
+        fancy-indexed numpy op — slices when the group's ranks are
+        consecutive.  Within a level every rank appears once and every
+        slot it reads was written at a lower level, so each lane gets
+        exactly the IEEE operations of a sequential tape walk, in the
+        same per-rank order, and a wait folds its joins in list order.
 
         ``burst_block`` bounds the duration-scaling *temporaries* to
         ``O(K × burst_block)`` by filling the scaled-duration pool in
@@ -1024,129 +1275,154 @@ class CompiledProgram:
                 f"frequency matrix shape {fmat.shape} does not match "
                 f"(K, nproc={self.nproc})"
             )
-        if (fmat <= 0.0).any():
-            raise ValueError("frequencies must be positive")
+        if not (np.isfinite(fmat) & (fmat > 0.0)).all():
+            raise ValueError("frequencies must be positive and finite")
         start = perf_counter()
+        sched = self._sched
+        if sched is None:
+            # built once per program and published by one assignment;
+            # racing threads build equal schedules, so either may win
+            sched = self._sched = _level_schedule(self)
         K = fmat.shape[0]
         nproc = self.nproc
-        r1 = self.time_model.fmax / fmat - 1.0            # (K, nproc)
-        nbursts = self._np_dur.shape[0]
+        # lane-contiguous state: one row of K lanes per rank / slot
+        r1 = np.ascontiguousarray((self.time_model.fmax / fmat - 1.0).T)
+        dur, beta, brank = self._np_dur, self._np_beta, self._np_brank
+        nbursts = dur.shape[0]
         if burst_block is None or burst_block >= nbursts:
-            ratio = self._np_beta * r1[:, self._np_brank] + 1.0
-            sdur = self._np_dur * ratio                    # (K, nbursts)
+            ratio = beta[:, None] * r1[brank] + 1.0
+            sdur = dur[:, None] * ratio                    # (nbursts, K)
             del ratio
         else:
-            sdur = np.empty((K, nbursts))
+            sdur = np.empty((nbursts, K))
             for lo in range(0, nbursts, burst_block):
                 hi = lo + burst_block
-                sdur[:, lo:hi] = self._np_dur[lo:hi] * (
-                    self._np_beta[lo:hi] * r1[:, self._np_brank[lo:hi]]
-                    + 1.0
+                sdur[lo:hi] = dur[lo:hi, None] * (
+                    beta[lo:hi, None] * r1[brank[lo:hi]] + 1.0
                 )
-        t = np.zeros((K, nproc))
-        comp = np.zeros((K, nproc))
-        comm = np.zeros((K, nproc))
-        arr = np.zeros((K, len(self._wire_eager)))
-        sp = np.zeros((K, len(self._wire_rdv)))
-        rp = np.zeros((K, len(self._wire_rdv)))
-        wire_e, wire_r = self._wire_eager, self._wire_rdv
+        del r1
+        t = np.zeros((nproc, K))
+        comp = np.zeros((nproc, K))
+        comm = np.zeros((nproc, K))
+        arr = np.zeros((len(self._wire_eager), K))
+        sp = np.zeros((len(self._wire_rdv), K))
+        rp = np.zeros((len(self._wire_rdv), K))
+        wire_e, wire_r = self._np_wire_eager, self._np_wire_rdv
         costs = self._coll_costs
         send_ov = self.platform.send_overhead
         recv_ov = self.platform.recv_overhead
-        maximum = np.maximum
-        codes, a1, a2 = self._codes, self._arg1, self._arg2
-        woff, wkind, wslot = self._wait_off, self._wait_kind, self._wait_slot
+        maximum, take = np.maximum, np.take
+        # A lane row viewed as one opaque item: fancy-index scatters of
+        # whole rows then take numpy's 1-D copy path (gathers use take).
+        row = np.dtype((np.void, 8 * K))
 
-        for i in range(len(codes)):
-            code = codes[i]
+        def rows(a: np.ndarray) -> np.ndarray:
+            return a.view(row).reshape(-1)
+
+        tv, compv, commv = rows(t), rows(comp), rows(comm)
+        spv, rpv = rows(sp), rows(rp)
+        arr_next = 0  # eager arrival rows fill in schedule order
+        ranks, args = sched.rank, sched.arg
+        bounds = sched.bounds.tolist()
+        run = sched.run.tolist()
+        rank_at = sched.rank_at.tolist()
+        group_seg = sched.group_seg.tolist()
+        seg_bounds = sched.seg_bounds.tolist()
+        seg_kind = sched.seg_kind.tolist()
+        sel_at = sched.sel_at.tolist()
+        join_sel, join_slot = sched.join_sel, sched.join_slot
+
+        for g, code in enumerate(sched.code.tolist() if K else ()):
+            lo, hi = bounds[g], bounds[g + 1]
+            if code == _COLL:  # alone in its group
+                lv = t.max(axis=0) + costs[int(ranks[rank_at[g]])]
+                comm += lv - t
+                t[:] = lv
+                continue
+            m = args[lo:hi]
+            r0 = run[g]
+            if r0 >= 0:
+                r = slice(r0, r0 + hi - lo)
+                col = t[r]
+            else:
+                r = ranks[rank_at[g]:rank_at[g + 1]].astype(np.intp)
+                col = take(t, r, 0)
+            if code == _SEND_RDV_POST:
+                spv[m] = rows(col)
+                continue
+            spent, spentv = comm, commv
             if code == _COMPUTE:
-                r = a1[i]
-                col = t[:, r]
-                nt = col + sdur[:, a2[i]]
-                comp[:, r] += nt - col
-                t[:, r] = nt
+                nt = col + take(sdur, m, 0)
+                spent, spentv = comp, compv
             elif code == _SEND_EAGER:
-                r, m = a1[i], a2[i]
-                col = t[:, r]
-                arr[:, m] = col + wire_e[m]
+                arr[arr_next:arr_next + hi - lo] = (
+                    col + take(wire_e, m)[:, None]
+                )
+                arr_next += hi - lo
                 nt = col + send_ov
-                comm[:, r] += nt - col
-                t[:, r] = nt
             elif code == _RECV_EAGER:
-                r, m = a1[i], a2[i]
-                col = t[:, r]
-                nt = maximum(col + recv_ov, arr[:, m])
-                comm[:, r] += nt - col
-                t[:, r] = nt
+                nt = maximum(col + recv_ov, take(arr, m, 0))
             elif code == _WAIT:
-                r = a1[i]
-                col = t[:, r]
-                cur = col
-                wid = a2[i]
-                for j in range(woff[wid], woff[wid + 1]):
-                    m = wslot[j]
-                    if wkind[j] == _VAL_ARR:
-                        val = arr[:, m]
+                # segments run in join-position order, so every wait
+                # folds its values into ``nt`` in its join-list order
+                nt = col
+                for s in range(group_seg[g], group_seg[g + 1]):
+                    jlo, jhi = seg_bounds[s], seg_bounds[s + 1]
+                    slot = join_slot[jlo:jhi]
+                    if seg_kind[s] == _VAL_ARR:
+                        val = take(arr, slot, 0)
                     else:
-                        val = maximum(sp[:, m], rp[:, m]) + wire_r[m]
-                    cur = maximum(cur, val)
-                if cur is not col:
-                    comm[:, r] += cur - col
-                    t[:, r] = cur
-            elif code == _COLL:
-                lv = t.max(axis=1) + costs[a1[i]]
-                comm += lv[:, None] - t
-                t[:] = lv[:, None]
-            elif code == _SEND_RDV_POST:
-                sp[:, a2[i]] = t[:, a1[i]]
+                        slot = slot.astype(np.intp)
+                        val = (maximum(take(sp, slot, 0), take(rp, slot, 0))
+                               + take(wire_r, slot)[:, None])
+                    if jhi - jlo == hi - lo:  # every wait of the group
+                        nt = maximum(nt, val)
+                    else:
+                        if nt is col:
+                            nt = col.copy()
+                        sel = join_sel[sel_at[s]:sel_at[s + 1]]
+                        sel = sel.astype(np.intp)
+                        rows(nt)[sel] = rows(maximum(take(nt, sel, 0), val))
             elif code == _SEND_RDV_DONE:
-                r, m = a1[i], a2[i]
-                col = t[:, r]
-                nt = maximum(sp[:, m], rp[:, m]) + wire_r[m]
-                comm[:, r] += nt - col
-                t[:, r] = nt
+                m = m.astype(np.intp)
+                nt = (maximum(take(sp, m, 0), take(rp, m, 0))
+                      + take(wire_r, m)[:, None])
             elif code == _ISEND_RDV:
-                r, m = a1[i], a2[i]
-                col = t[:, r]
-                sp[:, m] = col
+                spv[m] = rows(col)
                 nt = col + send_ov
-                comm[:, r] += nt - col
-                t[:, r] = nt
             elif code == _RECV_RDV:
-                r, m = a1[i], a2[i]
-                col = t[:, r]
+                m = m.astype(np.intp)
                 tr = col + recv_ov
-                rp[:, m] = tr
-                nt = maximum(sp[:, m], tr) + wire_r[m]
-                comm[:, r] += nt - col
-                t[:, r] = nt
+                rpv[m] = rows(tr)
+                nt = maximum(take(sp, m, 0), tr) + take(wire_r, m)[:, None]
             elif code == _IRECV_EAGER:
-                r = a1[i]
-                col = t[:, r]
                 nt = col + recv_ov
-                comm[:, r] += nt - col
-                t[:, r] = nt
-            elif code == _IRECV_RDV:
-                r, m = a1[i], a2[i]
-                col = t[:, r]
-                rp[:, m] = col
+            else:  # _IRECV_RDV
+                rpv[m] = rows(col)
                 nt = col + recv_ov
-                comm[:, r] += nt - col
-                t[:, r] = nt
-            # _MARKER: timestamps are not materialised in batch mode
+            if r0 >= 0:
+                acc = spent[r]  # a view: accumulate in place
+                acc += nt - col
+                t[r] = nt
+            else:
+                acc = take(spent, r, 0)
+                acc += nt - col
+                spentv[r] = rows(acc)
+                tv[r] = rows(nt)
 
+        end = np.ascontiguousarray(t.T)
         elapsed = perf_counter() - start
         add_engine_stats(
             compiled_runs=1,
             compiled_evaluations=K,
-            compiled_instructions=len(codes) * K,
+            compiled_instructions=len(self._codes) * K,
             compiled_seconds=elapsed,
         )
         return {
-            "execution_time": t.max(axis=1),
-            "compute_times": comp,
-            "comm_times": comm,
-            "end_times": t,
+            "execution_time": end.max(axis=1),
+            "compute_times": np.ascontiguousarray(comp.T),
+            "comm_times": np.ascontiguousarray(comm.T),
+            "end_times": end,
         }
 
     # ------------------------------------------------------------------
@@ -1224,7 +1500,7 @@ class CompiledReplayEngine:
         cache = getattr(trace, "_compiled_cache", None)
         if cache is None:
             cache = []
-            trace._compiled_cache = cache  # plain attribute; never pickled
+            trace._compiled_cache = cache  # dropped when the trace pickles
         for cached_key, entry in cache:
             if cached_key == key:
                 if isinstance(entry, UnsupportedWorldError):
@@ -1298,7 +1574,7 @@ class CompiledReplayEngine:
     ) -> dict[str, np.ndarray]:
         """Compile (cached) + batch-evaluate a (K, nproc) matrix.
 
-        ``chunk_size`` bounds the candidate count per vectorised tape
+        ``chunk_size`` bounds the candidate count per level-scheduled
         pass, which bounds peak working-set memory (each pass allocates
         ``O(chunk × (nproc + messages))`` floats; the burst-scaling
         temporaries are additionally blocked along the burst axis).
@@ -1309,9 +1585,10 @@ class CompiledReplayEngine:
         pass.
 
         A one-row matrix is priced by the scalar :meth:`evaluate`
-        kernel instead: its row is bit-identical, and a one-lane vector
-        pass pays numpy's per-call overhead on every tape instruction
-        with nothing to amortise it over.
+        kernel instead: its row is bit-identical, a one-lane level pass
+        loses to the scalar walk on narrow worlds (few ranks per group
+        to amortise numpy's per-call overhead over), and the first pass
+        of a program also pays for its level schedule.
         """
         program = self.compile_trace(trace)
         fmat = np.asarray(frequencies, dtype=float)

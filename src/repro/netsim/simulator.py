@@ -200,8 +200,8 @@ class MpiSimulator:
             raise ValueError(
                 f"frequencies shape {freqs.shape} does not match nproc={nproc}"
             )
-        if (freqs <= 0.0).any():
-            raise ValueError("frequencies must be positive")
+        if not (np.isfinite(freqs) & (freqs > 0.0)).all():
+            raise ValueError("frequencies must be positive and finite")
         return freqs
 
 

@@ -104,6 +104,11 @@ _COLLOP_CODES: dict[str, int] = {op: i for i, op in enumerate(COLLECTIVE_OPS)}
 #: Fixed column bytes per event (docs/architecture.md derives this).
 BYTES_PER_EVENT = 1 + 8 + 8 + 4 + 4 + 8 + 4 + 4 + 4 + 1
 
+#: Per-trace memos of the replay engines, dropped on pickling: the
+#: compiled-program cache of ``CompiledReplayEngine.compile_trace`` and
+#: the baseline replay of ``core.balancer.nominal_replay``.
+_REPLAY_MEMOS = ("_compiled_cache", "_baseline_cache")
+
 
 class ColumnarTraceBuilder:
     """Append-only builder writing events straight into typed buffers.
@@ -530,6 +535,19 @@ class ColumnarTrace:
                 mapping.madvise(mmap.MADV_DONTNEED)
             except (AttributeError, OSError):  # pragma: no cover
                 pass  # platform without madvise: purely an RSS hint
+
+    def __getstate__(self) -> dict[str, Any]:
+        """Pickle the trace without the replay memos priced on it.
+
+        A priced trace pickles to the bytes it pickled to before
+        pricing; the copy recompiles and replays on first use.
+        """
+        state = self.__dict__
+        if any(name in state for name in _REPLAY_MEMOS):
+            state = {
+                k: v for k, v in state.items() if k not in _REPLAY_MEMOS
+            }
+        return state
 
     def save(self, path: str | os.PathLike) -> None:
         """Serialise to the binary columnar store (see colstore)."""

@@ -6,21 +6,25 @@ world the capability check accepts, ``CompiledProgram.evaluate`` and
 per-rank compute/comm seconds, same end times, same markers, compared
 with ``np.array_equal`` (no tolerance).  Worlds outside the supported
 subset must be rejected with :class:`UnsupportedWorldError` so the
-``auto`` engine can fall back to the DES.
+``auto`` engine can fall back to the DES.  ``evaluate_many``'s
+level-scheduled pass is held to the scalar kernel the same way, row by
+row, and its cached schedule to the invariants that make it exact.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from repro.apps import build_app, vmpi
+from repro.apps import TABLE3_INSTANCES, build_app, vmpi
 from repro.core.timemodel import BetaTimeModel
+from repro.netsim import compiled as cp
 from repro.netsim.compiled import (
     CompiledReplayEngine,
     CompileError,
@@ -35,6 +39,9 @@ from repro.netsim.enginestats import (
 from repro.netsim.platform import MYRINET_LIKE
 from repro.netsim.simulator import MpiSimulator
 from repro.simx.errors import DeadlockError
+from repro.traces.columnar import ColumnarTrace
+
+from tests.worlds import RENDEZVOUS, valid_worlds
 
 MODEL = BetaTimeModel(fmax=2.3)
 
@@ -218,6 +225,333 @@ class TestPropertyEquivalence:
 
 
 # ---------------------------------------------------------------------------
+# the level-scheduled batch pass against the scalar kernel
+# ---------------------------------------------------------------------------
+def _scalar_rows(program, fmat):
+    """The scalar kernel's rows, stacked like ``evaluate_many``'s result."""
+    rows = [program.evaluate(f) for f in fmat]
+    return {
+        "execution_time": np.array([r.execution_time for r in rows]),
+        "compute_times": np.array([r.compute_times for r in rows]),
+        "comm_times": np.array([r.comm_times for r in rows]),
+        "end_times": np.array([r.end_times for r in rows]),
+    }
+
+
+def _assert_bit_equal(got, want):
+    """Same keys, shapes and bytes; C-contiguous like the scalar rows."""
+    assert sorted(got) == sorted(want)
+    for key, value in want.items():
+        assert got[key].shape == value.shape, key
+        assert got[key].flags.c_contiguous, key
+        assert got[key].tobytes() == value.tobytes(), key
+
+
+class TestLevelScheduleDifferential:
+    """Every batch row is the scalar kernel's row, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "platform", [MYRINET_LIKE, RENDEZVOUS], ids=["default", "rendezvous"]
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(streams=valid_worlds(), data=st.data())
+    def test_generated_worlds(self, platform, streams, data):
+        try:
+            program = compile_world(streams, platform, MODEL)
+        except UnsupportedWorldError:
+            event("not compiled")  # deadlocked: the DES owns the error
+            return
+        event("compiled")
+        engine = CompiledReplayEngine(platform, MODEL)
+        trace = ColumnarTrace.from_streams(streams)
+        row = st.lists(
+            st.floats(0.8, 2.3), min_size=len(streams), max_size=len(streams)
+        )
+        for k in (1, 2, 5):
+            fmat = np.array(data.draw(st.lists(row, min_size=k, max_size=k)))
+            want = _scalar_rows(program, fmat)
+            _assert_bit_equal(program.evaluate_many(fmat), want)
+            for chunk in (1, None):
+                _assert_bit_equal(
+                    engine.evaluate_assignments(trace, fmat, chunk_size=chunk),
+                    want,
+                )
+        _assert_schedule_invariants(program)
+        _assert_wait_joins_in_order(program)
+
+    def test_table3_worlds(self):
+        rng = np.random.default_rng(15)
+        for spec in TABLE3_INSTANCES:
+            program = compile_world(
+                build_app(spec, iterations=2).programs(), MYRINET_LIKE, MODEL
+            )
+            fmat = rng.uniform(0.8, 2.3, size=(5, program.nproc))
+            _assert_bit_equal(
+                program.evaluate_many(fmat), _scalar_rows(program, fmat)
+            )
+
+
+def _tape_entries(program):
+    """Per rank, the tape instructions the batch pass runs, in order.
+
+    Entries are ``(tape index, code, arg2)``; collectives are listed
+    separately as ``(tape index, collective index)``.  Markers and
+    waits without joins change no state and are not scheduled.
+    """
+    per_rank = [[] for _ in range(program.nproc)]
+    colls = []
+    woff = program._wait_off
+    for i, (code, a1, a2) in enumerate(
+        zip(program._codes, program._arg1, program._arg2)
+    ):
+        if code == cp._COLL:
+            colls.append((i, a1))
+        elif code == cp._MARKER:
+            continue
+        elif code == cp._WAIT and woff[a2] == woff[a2 + 1]:
+            continue
+        else:
+            per_rank[a1].append((i, code, a2))
+    return per_rank, colls
+
+
+def _arrival_slots(sched):
+    """Message slot of each eager arrival row: the i-th ``_SEND_EAGER``
+    entry of the schedule fills row i."""
+    slots = []
+    bounds = sched.bounds.tolist()
+    for g, code in enumerate(sched.code.tolist()):
+        if code == cp._SEND_EAGER:
+            slots += sched.arg[bounds[g]:bounds[g + 1]].tolist()
+    return slots
+
+
+def _group_ranks(sched, g):
+    """Ranks of group ``g``'s entries (a collective's index for _COLL)."""
+    size = int(sched.bounds[g + 1] - sched.bounds[g])
+    first = int(sched.run[g])
+    if first >= 0:  # consecutive ranks, in rank order
+        assert sched.rank_at[g] == sched.rank_at[g + 1]
+        return list(range(first, first + size))
+    ranks = sched.rank[sched.rank_at[g]:sched.rank_at[g + 1]].tolist()
+    assert len(ranks) == size
+    assert ranks != list(range(ranks[0], ranks[0] + size)) or size == 1
+    return ranks
+
+
+def _tape_levels(program):
+    """Level of each scheduled tape instruction under the cached
+    schedule, after checking its group structure and per-rank order."""
+    sched = program._sched
+    bounds = sched.bounds.tolist()
+    levels = sched.level.tolist()
+    codes = sched.code.tolist()
+    slot_of_row = _arrival_slots(sched)
+    assert sorted(slot_of_row) == list(range(len(program._wire_eager)))
+    assert levels == sorted(levels)
+    assert sched.rank_at[-1] == sched.rank.shape[0]
+    by_rank = [[] for _ in range(program.nproc)]
+    coll_level = {}
+    for g, (level, code) in enumerate(zip(levels, codes)):
+        ranks = _group_ranks(sched, g)
+        args = sched.arg[bounds[g]:bounds[g + 1]].tolist()
+        assert ranks, "empty group"
+        if code == cp._RECV_EAGER:
+            args = [slot_of_row[a] for a in args]
+        if code == cp._COLL:
+            # alone in its level
+            assert len(ranks) == 1
+            assert levels.count(level) == 1
+            coll_level[ranks[0]] = level
+            continue
+        assert len(set(ranks)) == len(ranks), "rank twice in one group"
+        for r, a in zip(ranks, args):
+            by_rank[r].append((level, code, a))
+    per_rank, colls = _tape_entries(program)
+    tape_level = {}
+    for r in range(program.nproc):
+        scheduled = sorted(by_rank[r])
+        # every rank keeps its program order, every instruction once
+        assert [(c, a) for _, c, a in scheduled] == [
+            (c, a) for _, c, a in per_rank[r]
+        ], f"rank {r} out of program order"
+        for (level, _, _), (i, _, _) in zip(scheduled, per_rank[r]):
+            tape_level[i] = level
+    assert sorted(coll_level) == [c for _, c in colls]
+    for i, c in colls:
+        tape_level[i] = coll_level[c]
+    return tape_level
+
+
+def _assert_schedule_invariants(program):
+    tape_level = _tape_levels(program)
+    codes, a1, a2 = program._codes, program._arg1, program._arg2
+    # every collective sits above everything before it in the tape and
+    # below everything after it
+    top = 0
+    floor = 0
+    for i in range(len(codes)):
+        if i not in tape_level:
+            continue
+        level = tape_level[i]
+        assert level > floor
+        if codes[i] == cp._COLL:
+            assert level > top
+            floor = level
+        top = max(top, level)
+    # every slot read was written at a strictly lower level
+    written = {}
+    writes = {
+        cp._SEND_EAGER: ("arr",), cp._SEND_RDV_POST: ("sp",),
+        cp._ISEND_RDV: ("sp",), cp._RECV_RDV: ("rp",),
+        cp._IRECV_RDV: ("rp",),
+    }
+    for i in sorted(tape_level):
+        for pool in writes.get(codes[i], ()):
+            assert (pool, a2[i]) not in written, "slot written twice"
+            written[(pool, a2[i])] = tape_level[i]
+    woff, wkind, wslot = (
+        program._wait_off, program._wait_kind, program._wait_slot
+    )
+    for i, level in tape_level.items():
+        code, m = codes[i], a2[i]
+        if code == cp._RECV_EAGER:
+            reads = [("arr", m)]
+        elif code == cp._RECV_RDV:
+            reads = [("sp", m)]
+        elif code == cp._SEND_RDV_DONE:
+            reads = [("sp", m), ("rp", m)]
+        elif code == cp._WAIT:
+            reads = []
+            for j in range(woff[m], woff[m + 1]):
+                if wkind[j] == cp._VAL_ARR:
+                    reads.append(("arr", wslot[j]))
+                else:
+                    reads += [("sp", wslot[j]), ("rp", wslot[j])]
+        else:
+            continue
+        for slot in reads:
+            assert written[slot] < level, (
+                f"instruction {i} reads {slot} written at level "
+                f"{written[slot]}, not below its own level {level}"
+            )
+
+
+def _assert_wait_joins_in_order(program):
+    """The segments of each wait group replay every wait's join list
+    in list order."""
+    sched = program._sched
+    bounds = sched.bounds.tolist()
+    group_seg = sched.group_seg.tolist()
+    seg_bounds = sched.seg_bounds.tolist()
+    slot_of_row = _arrival_slots(sched)
+    woff, wkind, wslot = (
+        program._wait_off, program._wait_kind, program._wait_slot
+    )
+    for g, code in enumerate(sched.code.tolist()):
+        if code != cp._WAIT:
+            assert group_seg[g] == group_seg[g + 1]
+            continue
+        wids = sched.arg[bounds[g]:bounds[g + 1]].tolist()
+        replayed = [[] for _ in wids]
+        for seg in range(group_seg[g], group_seg[g + 1]):
+            lo, hi = seg_bounds[seg], seg_bounds[seg + 1]
+            sel = sched.join_sel[sched.sel_at[seg]:sched.sel_at[seg + 1]]
+            sel = sel.tolist()
+            if not sel:  # the segment covers every wait of the group
+                sel = list(range(len(wids)))
+            assert len(sel) == hi - lo
+            assert sel == sorted(set(sel))
+            kind = int(sched.seg_kind[seg])
+            for w, slot in zip(sel, sched.join_slot[lo:hi].tolist()):
+                if kind == cp._VAL_ARR:
+                    slot = slot_of_row[slot]
+                replayed[w].append((kind, slot))
+        for w, wid in enumerate(wids):
+            assert replayed[w] == [
+                (wkind[j], wslot[j]) for j in range(woff[wid], woff[wid + 1])
+            ]
+
+
+class TestLevelScheduleInvariants:
+    """The cached schedule of the Table-3 worlds and BT-MZ-256."""
+
+    @pytest.mark.parametrize("spec", list(TABLE3_INSTANCES) + ["BT-MZ-256"])
+    def test_schedule_invariants(self, spec):
+        program = compile_world(
+            build_app(spec, iterations=2).programs(), MYRINET_LIKE, MODEL
+        )
+        assert program._sched is None  # compile does no schedule work
+        program.evaluate_many(np.full((2, program.nproc), 2.0))
+        sched = program._sched
+        assert sched is not None
+        for name in ("level", "bounds", "run", "rank_at", "rank", "arg",
+                     "group_seg", "seg_bounds", "sel_at", "join_sel",
+                     "join_slot"):
+            assert getattr(sched, name).dtype == np.int32, name
+        _assert_schedule_invariants(program)
+        _assert_wait_joins_in_order(program)
+        program.evaluate_many(np.full((1, program.nproc), 1.5))
+        assert program._sched is sched  # built once per program
+
+    def test_waitall_joins_keep_list_order(self):
+        # a rendezvous join listed before an eager one: segments must
+        # follow the join list, not the value kind
+        big = MYRINET_LIKE.eager_threshold + 1
+        programs = [[], []]
+        for it in range(3):
+            for rank, peer in ((0, 1), (1, 0)):
+                programs[rank] += [
+                    vmpi.compute(0.001 * (rank + it + 1)),
+                    vmpi.isend(peer, big, tag=2 * it, request=0),
+                    vmpi.irecv(src=peer, tag=2 * it + 1, request=1),
+                    vmpi.isend(peer, 8, tag=2 * it + 1, request=2),
+                    vmpi.irecv(src=peer, tag=2 * it, request=3),
+                    vmpi.waitall((0, 1, 2, 3)),
+                ]
+        program = compile_world(programs, MYRINET_LIKE, MODEL)
+        fmat = np.array([[2.3, 1.1], [0.9, 1.7]])
+        _assert_bit_equal(
+            program.evaluate_many(fmat), _scalar_rows(program, fmat)
+        )
+        _assert_schedule_invariants(program)
+        _assert_wait_joins_in_order(program)
+
+    @pytest.mark.parametrize(
+        "programs",
+        [[[], []], [[vmpi.marker("phase", 0)], []]],
+        ids=["empty", "markers-only"],
+    )
+    def test_nothing_to_schedule(self, programs):
+        program = compile_world(programs, MYRINET_LIKE, MODEL)
+        fmat = np.full((2, 2), 2.0)
+        _assert_bit_equal(
+            program.evaluate_many(fmat), _scalar_rows(program, fmat)
+        )
+        assert program._sched.code.shape == (0,)
+
+    def test_more_collectives_than_ranks(self):
+        # collective indices outgrow the rank range the sort key packs
+        programs = []
+        for rank in range(2):
+            recs = []
+            for it in range(40):
+                recs.append(vmpi.compute(0.001 * (rank + it + 1)))
+                if rank == 0:
+                    recs.append(vmpi.send(1, 64, tag=it))
+                else:
+                    recs.append(vmpi.recv(src=0, tag=it))
+                recs.append(vmpi.allreduce(8))
+            programs.append(recs)
+        program = compile_world(programs, MYRINET_LIKE, MODEL)
+        fmat = np.array([[2.3, 1.1], [0.9, 1.7], [1.4, 1.4]])
+        _assert_bit_equal(
+            program.evaluate_many(fmat), _scalar_rows(program, fmat)
+        )
+        _assert_schedule_invariants(program)
+
+
+# ---------------------------------------------------------------------------
 # capability boundaries
 # ---------------------------------------------------------------------------
 class TestCapabilityChecks:
@@ -357,6 +691,27 @@ class TestCompileCache:
         with pytest.raises(UnsupportedWorldError):
             engine.compile_trace(trace)
 
+    def test_priced_trace_pickles_like_unpriced(self):
+        from repro.core.balancer import PowerAwareLoadBalancer
+        from repro.core.gears import uniform_gear_set
+
+        trace = build_app("CG-32", iterations=2).columnar_trace()
+        before = pickle.dumps(trace, protocol=pickle.HIGHEST_PROTOCOL)
+        balancer = PowerAwareLoadBalancer(
+            gear_set=uniform_gear_set(6), engine="auto"
+        )
+        report = balancer.balance_trace(trace)
+        CompiledReplayEngine(MYRINET_LIKE, MODEL).evaluate_assignments(
+            trace, np.full((2, trace.nproc), 2.0)
+        )
+        assert {"_compiled_cache", "_baseline_cache"} <= set(vars(trace))
+        assert pickle.dumps(trace, protocol=pickle.HIGHEST_PROTOCOL) == before
+        assert {"_compiled_cache", "_baseline_cache"} <= set(vars(trace))
+        copy = pickle.loads(before)
+        assert json.dumps(
+            balancer.balance_trace(copy).to_json(), sort_keys=True
+        ) == json.dumps(report.to_json(), sort_keys=True)
+
 
 class TestEvaluateManyValidation:
     def _program(self):
@@ -375,6 +730,53 @@ class TestEvaluateManyValidation:
         bad[1, 2] = 0.0
         with pytest.raises(ValueError):
             program.evaluate_many(bad)
+
+
+class TestNonFiniteFrequencies:
+    """NaN and infinite frequencies fail closed on every pricing path."""
+
+    BAD = [float("nan"), float("inf"), float("-inf")]
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return build_app("CG-16", iterations=1).columnar_trace()
+
+    def _freqs(self, trace, bad):
+        freqs = np.full(trace.nproc, 2.0)
+        freqs[3] = bad
+        return freqs
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_des(self, trace, bad):
+        with pytest.raises(ValueError, match="finite"):
+            MpiSimulator(MYRINET_LIKE, MODEL).run_trace(
+                trace, frequencies=self._freqs(trace, bad)
+            )
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_evaluate(self, trace, bad):
+        program = CompiledReplayEngine(MYRINET_LIKE, MODEL).compile_trace(trace)
+        with pytest.raises(ValueError, match="finite"):
+            program.evaluate(self._freqs(trace, bad))
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_evaluate_many(self, trace, bad, rows):
+        program = CompiledReplayEngine(MYRINET_LIKE, MODEL).compile_trace(trace)
+        fmat = np.full((rows, trace.nproc), 2.0)
+        fmat[-1] = self._freqs(trace, bad)
+        with pytest.raises(ValueError, match="finite"):
+            program.evaluate_many(fmat)
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("chunk", [None, 1])
+    def test_evaluate_assignments(self, trace, bad, rows, chunk):
+        engine = CompiledReplayEngine(MYRINET_LIKE, MODEL)
+        fmat = np.full((rows, trace.nproc), 2.0)
+        fmat[-1] = self._freqs(trace, bad)
+        with pytest.raises(ValueError, match="finite"):
+            engine.evaluate_assignments(trace, fmat, chunk_size=chunk)
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,12 @@ ranks, and poisoned accessors prove the lint path never materialises a
 record object.
 """
 
-import dataclasses
 import re
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from repro.apps import vmpi
 from repro.diagnostics.deadlock import analyze_deadlock
 from repro.diagnostics.engine import LintConfig, lint_trace_subject
 from repro.diagnostics.model import Severity
@@ -51,12 +49,8 @@ from repro.traces.records import (
 )
 
 from tests.test_columnar import NPROC, record_trace, stream_records
+from tests.worlds import BIG, RENDEZVOUS, valid_worlds
 
-#: Tiny eager threshold: most fuzzed sends go rendezvous, exercising
-#: the blocking-send replay paths the default platform rarely hits.
-RENDEZVOUS = dataclasses.replace(
-    MYRINET_LIKE, name="rendezvous-heavy", eager_threshold=64
-)
 
 CONFIG = LintConfig()
 
@@ -201,71 +195,6 @@ class TestIdentityProperty:
         trace = record_trace(streams)
         assert_views_agree(trace, RENDEZVOUS)
         assert_lints_cleanly(trace, RENDEZVOUS)
-
-
-BIG = MYRINET_LIKE.eager_threshold + 1  # rendezvous on the default net
-
-
-@st.composite
-def valid_worlds(draw):
-    """Structurally valid, wildcard-free worlds, deadlocked or not.
-
-    Every message gets a matching receive with the same tag, every
-    non-blocking request one wait after its post, every rank the same
-    collective sequence; only the per-rank interleaving is random, which
-    is what decides whether the world deadlocks.  Each (src, dst, tag)
-    channel carries one message size: the DES matches an eager message
-    only once it arrives, so on a channel mixing sizes (or protocols) a
-    later message can overtake an earlier one (``netsim/matching.py``)
-    and its matching is timing-dependent, like a wildcard's.
-    """
-    nproc = draw(st.integers(2, 4))
-    keys = st.floats(0.0, 1.0)
-    items = [[] for _ in range(nproc)]  # per rank: (sort key, record)
-    next_request = [0] * nproc
-
-    def post(rank, side, peer, nbytes, tag):
-        """One message end: blocking, or non-blocking plus a later wait."""
-        key = draw(keys)
-        if draw(st.booleans()):
-            rec = (
-                vmpi.send(peer, nbytes, tag=tag) if side == "send"
-                else vmpi.recv(src=peer, tag=tag)
-            )
-            items[rank].append((key, rec))
-            return
-        request = next_request[rank]
-        next_request[rank] += 1
-        rec = (
-            vmpi.isend(peer, nbytes, tag=tag, request=request)
-            if side == "send"
-            else vmpi.irecv(src=peer, tag=tag, request=request)
-        )
-        items[rank].append((key, rec))
-        items[rank].append((key + draw(st.floats(1e-3, 1.0)), vmpi.wait(request)))
-
-    sizes = {}  # (src, dst, tag) -> the channel's one message size
-    for _ in range(draw(st.integers(0, 6))):
-        src = draw(st.integers(0, nproc - 1))
-        dst = (src + draw(st.integers(1, nproc - 1))) % nproc
-        tag = draw(st.integers(0, 1))
-        nbytes = sizes.get((src, dst, tag))
-        if nbytes is None:
-            nbytes = sizes[(src, dst, tag)] = draw(st.sampled_from([8, BIG]))
-        post(src, "send", dst, nbytes, tag)
-        post(dst, "recv", src, nbytes, tag)
-    ops = draw(st.lists(st.sampled_from(["barrier", "allreduce"]), max_size=2))
-    for rank in range(nproc):
-        items[rank].append((draw(keys), vmpi.compute(0.001 * (rank + 1))))
-        coll_keys = sorted(draw(keys) for _ in ops)
-        for key, op in zip(coll_keys, ops):
-            items[rank].append(
-                (key, CollectiveRecord(op, 8 if op == "allreduce" else 0))
-            )
-    return [
-        [rec for _, rec in sorted(ranked, key=lambda kr: kr[0])]
-        for ranked in items
-    ]
 
 
 def des_blocked_ranks(streams, platform):
