@@ -1290,7 +1290,7 @@ class CompiledProgram:
         dur, beta, brank = self._np_dur, self._np_beta, self._np_brank
         nbursts = dur.shape[0]
         if burst_block is None or burst_block >= nbursts:
-            ratio = beta[:, None] * r1[brank] + 1.0
+            ratio = beta[:, None] * np.take(r1, brank, 0) + 1.0
             sdur = dur[:, None] * ratio                    # (nbursts, K)
             del ratio
         else:
@@ -1298,7 +1298,7 @@ class CompiledProgram:
             for lo in range(0, nbursts, burst_block):
                 hi = lo + burst_block
                 sdur[lo:hi] = dur[lo:hi, None] * (
-                    beta[lo:hi, None] * r1[brank[lo:hi]] + 1.0
+                    beta[lo:hi, None] * np.take(r1, brank[lo:hi], 0) + 1.0
                 )
         del r1
         t = np.zeros((nproc, K))
