@@ -153,7 +153,8 @@ def test_closed_loop_replica_scaling(fleet1, fleet3):
             report = run_closed_loop(
                 _url(fleet), bodies, concurrency=8, duration_s=4.0
             )
-            assert report.errors == 0, report.render()
+            # a 429 or 5xx is a fast non-answer: any one voids the run
+            assert report.failed == 0, report.render()
             best = max(best, report.throughput_rps)
         results[name] = best
 

@@ -123,20 +123,32 @@ class RequestMix:
 
 @dataclass
 class LoadReport:
-    """Aggregate of one load-test run."""
+    """Aggregate of one load-test run.
+
+    Only 2xx replies count as served: they alone enter the latency
+    sample and the throughput.  Every other reply (429 backpressure,
+    5xx, or status 0 for a transport error) counts as ``failed``, so a
+    fleet that answers fast rejections never looks faster for it.
+    """
 
     mode: str
     duration_s: float
     latencies_ms: list[float] = field(default_factory=list)
     statuses: dict[str, int] = field(default_factory=dict)
     cache_states: dict[str, int] = field(default_factory=dict)
+    #: replies that were not 2xx, transport errors included
+    failed: int = 0
+    #: transport errors only (no HTTP reply at all; status 0)
     errors: int = 0
 
     def record(
         self, latency_s: float, status: int, cache_state: str | None
     ) -> None:
-        self.latencies_ms.append(latency_s * 1e3)
         self.statuses[str(status)] = self.statuses.get(str(status), 0) + 1
+        if 200 <= status < 300:
+            self.latencies_ms.append(latency_s * 1e3)
+        else:
+            self.failed += 1
         if status == 0:
             self.errors += 1
         if cache_state:
@@ -146,14 +158,21 @@ class LoadReport:
 
     @property
     def requests(self) -> int:
+        """Every request sent, served or not."""
+        return len(self.latencies_ms) + self.failed
+
+    @property
+    def ok(self) -> int:
+        """Requests answered 2xx."""
         return len(self.latencies_ms)
 
     @property
     def throughput_rps(self) -> float:
-        return self.requests / self.duration_s if self.duration_s else 0.0
+        """Served (2xx) requests per second."""
+        return self.ok / self.duration_s if self.duration_s else 0.0
 
     def percentile(self, p: float) -> float:
-        """p in [0, 100] -> latency in ms (0 when empty)."""
+        """p in [0, 100] -> 2xx latency in ms (0 when none)."""
         if not self.latencies_ms:
             return 0.0
         ordered = sorted(self.latencies_ms)
@@ -178,7 +197,9 @@ class LoadReport:
             "mode": self.mode,
             "duration_s": round(self.duration_s, 3),
             "requests": self.requests,
+            "ok": self.ok,
             "throughput_rps": round(self.throughput_rps, 2),
+            "failed": self.failed,
             "errors": self.errors,
             "statuses": dict(sorted(self.statuses.items())),
             "cache_states": dict(sorted(self.cache_states.items())),
@@ -196,8 +217,8 @@ class LoadReport:
         j = self.to_json()
         lines = [
             f"{self.mode} loop: {j['requests']} requests in "
-            f"{j['duration_s']:.1f}s -> {j['throughput_rps']:.1f} req/s, "
-            f"{j['errors']} errors",
+            f"{j['duration_s']:.1f}s -> {j['throughput_rps']:.1f} req/s "
+            f"served, {j['failed']} failed ({j['errors']} transport errors)",
             f"  latency p50={j['latency_ms']['p50']:.1f}ms "
             f"p90={j['latency_ms']['p90']:.1f}ms "
             f"p99={j['latency_ms']['p99']:.1f}ms "
@@ -409,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     else:
         print(report.render())
-    return 0 if report.errors == 0 else 1
+    return 0 if report.failed == 0 else 1
 
 
 if __name__ == "__main__":

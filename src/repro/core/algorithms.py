@@ -18,16 +18,26 @@ rank, fixed for the whole execution:
 Gear rounding follows §3.1: the selected frequency is the closest gear
 *above* the required frequency, so computation never finishes later
 than the target (modulo an unattainable target, which is flagged).
+
+The rule is elementwise, and so is the implementation: one numpy
+inversion of Eq. 3 over the per-rank times, then one
+:meth:`~repro.core.gears.GearSet.select_many` rounding.  An assignment
+is a per-rank index into a read-only :class:`~repro.core.gears.GearTable`;
+:class:`~repro.core.gears.Gear` objects are built only on request
+(:attr:`FrequencyAssignment.gears`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from collections.abc import Sequence
+from typing import Any
 
 import numpy as np
 
-from repro.core.gears import Gear, GearSet
+from repro.core.gears import Gear, GearSet, GearTable
 from repro.core.timemodel import BetaTimeModel
 
 __all__ = [
@@ -39,14 +49,54 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+def _frozen_index(index: Any, size: int) -> np.ndarray:
+    """A read-only copy of a gear-index row, in the narrowest unsigned
+    dtype that addresses a ``size``-entry table (one byte per rank for
+    every discrete set)."""
+    idx = np.asarray(index)
+    if idx.ndim != 1 or idx.dtype.kind not in "iu":
+        raise ValueError(
+            f"a gear index must be a 1-D integer array, got "
+            f"{idx.dtype} with shape {idx.shape}"
+        )
+    # negative entries wrap to huge unsigned values: one bound catches both
+    if idx.size and idx.astype(np.uintp).max() >= size:
+        raise ValueError(f"gear index out of range for {size} table entries")
+    out = idx.astype(np.min_scalar_type(max(size - 1, 0)))
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=64)
+def _uniform_flags(value: bool, n: int) -> tuple[bool, ...]:
+    return (value,) * n
+
+
+def _flags(mask: np.ndarray) -> tuple[bool, ...]:
+    """Per-rank flags as a tuple of built-in bools.
+
+    All-equal rows, the common case (nothing over-clocked, every rank
+    attained), share one tuple per world size, so the reports a sweep
+    keeps do not each hold their own copy.
+    """
+    hits = int(np.count_nonzero(mask))
+    if hits in (0, mask.size):
+        return _uniform_flags(hits > 0, mask.size)
+    return tuple(mask.tolist())
+
+
+@dataclass(frozen=True, eq=False)
 class FrequencyAssignment:
     """One gear per rank, plus provenance.
 
     Attributes
     ----------
-    gears:
-        The per-rank operating points.
+    index:
+        Per-rank gear index into ``table`` (read-only unsigned integer
+        array, as narrow as the table allows).
+    table:
+        The operating points ``index`` points into: the gear set's own
+        table for discrete sets, one entry per rank for continuous sets.
     target_time:
         The computation time the algorithm balanced toward.
     overclocked:
@@ -56,21 +106,122 @@ class FrequencyAssignment:
         gear could not meet the target (time then exceeds the target).
     algorithm:
         Name of the producing algorithm (reports).
+
+    Equality compares per-rank frequencies and voltages, not table
+    layout, so equal assignments from different tables compare equal.
     """
 
-    gears: tuple[Gear, ...]
+    index: np.ndarray
+    table: GearTable
     target_time: float
     overclocked: tuple[bool, ...]
     attained: tuple[bool, ...]
     algorithm: str
 
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "index", _frozen_index(self.index, len(self.table))
+        )
+
+    @classmethod
+    def from_gears(
+        cls,
+        gears: Sequence[Gear],
+        target_time: float,
+        overclocked: Sequence[bool],
+        attained: Sequence[bool],
+        algorithm: str,
+    ) -> "FrequencyAssignment":
+        """An assignment from explicit per-rank gears (one table entry
+        per distinct gear)."""
+        slots: dict[tuple[float, float], int] = {}
+        index = np.array(
+            [slots.setdefault((g.frequency, g.voltage), len(slots)) for g in gears],
+            dtype=np.intp,
+        )
+        pairs = list(slots)
+        return cls(
+            index=index,
+            table=GearTable([f for f, _ in pairs], [v for _, v in pairs]),
+            target_time=float(target_time),
+            overclocked=tuple(bool(x) for x in overclocked),
+            attained=tuple(bool(x) for x in attained),
+            algorithm=str(algorithm),
+        )
+
+    def __getstate__(self) -> dict[str, Any]:
+        # the index as raw bytes: unpickles into a read-only view
+        return {
+            **self.__dict__,
+            "index": (self.index.dtype.str, self.index.tobytes()),
+        }
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        if "gears" in state:
+            # Reports pickled before assignments became index rows keep
+            # a ``gears`` tuple: map it onto index + table, so a cached
+            # blob renders the same ``to_json()`` bytes it always did.
+            state = dict(state)
+            old = FrequencyAssignment.from_gears(
+                state.pop("gears"),
+                state["target_time"],
+                state["overclocked"],
+                state["attained"],
+                state["algorithm"],
+            )
+            state.update(old.__dict__)
+        else:
+            dtype, raw = state["index"]
+            state = {**state, "index": np.frombuffer(raw, dtype=dtype)}
+        self.__dict__.update(state)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FrequencyAssignment):
+            return NotImplemented
+        return (
+            self.target_time == other.target_time
+            and self.overclocked == other.overclocked
+            and self.attained == other.attained
+            and self.algorithm == other.algorithm
+            and np.array_equal(self.frequencies, other.frequencies)
+            and np.array_equal(self.voltages, other.voltages)
+        )
+
+    def __hash__(self) -> int:
+        return hash((
+            self.target_time, self.overclocked, self.attained,
+            self.algorithm, self.frequencies.tobytes(),
+        ))
+
     @property
     def nproc(self) -> int:
-        return len(self.gears)
+        return len(self.index)
 
     @property
     def frequencies(self) -> np.ndarray:
-        return np.array([g.frequency for g in self.gears])
+        """Per-rank frequencies (a fresh array)."""
+        return self.table.frequencies[self.index]
+
+    @property
+    def voltages(self) -> np.ndarray:
+        """Per-rank voltages (a fresh array)."""
+        return self.table.voltages[self.index]
+
+    @property
+    def gears(self) -> tuple[Gear, ...]:
+        """Per-rank :class:`Gear` objects, built on every access."""
+        return tuple(map(Gear, *self.per_rank_lists()))
+
+    def per_rank_lists(self) -> tuple[list[float], list[float]]:
+        """Per-rank frequencies and voltages as lists of built-in floats.
+
+        Ranks on one table entry share its float objects, so a report's
+        JSON form costs one list slot per rank, not one float each.
+        """
+        return tuple(  # type: ignore[return-value]
+            np.array(values.tolist(), dtype=object)[self.index].tolist()
+            for values in (self.table.frequencies, self.table.voltages)
+        )
 
     @property
     def overclocked_fraction(self) -> float:
@@ -84,12 +235,13 @@ class FrequencyAssignment:
     ) -> np.ndarray:
         """Per-rank computation time after scaling (model prediction)."""
         compute_times = np.asarray(compute_times, dtype=float)
-        return np.array(
-            [
-                model.scale(t, g.frequency)
-                for t, g in zip(compute_times, self.gears, strict=True)
-            ]
-        )
+        if compute_times.shape != self.index.shape:
+            raise ValueError(
+                f"{compute_times.size} times for {self.nproc} ranks"
+            )
+        if (compute_times < 0.0).any():
+            raise ValueError("time must be >= 0")
+        return compute_times * model.ratios(self.frequencies)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
@@ -97,21 +249,20 @@ class FrequencyAssignment:
         return {
             "algorithm": self.algorithm,
             "target_time": float(self.target_time),
-            "gears": [[float(g.frequency), float(g.voltage)] for g in self.gears],
-            "overclocked": [bool(x) for x in self.overclocked],
-            "attained": [bool(x) for x in self.attained],
+            "gears": [list(pair) for pair in zip(*self.per_rank_lists())],
+            "overclocked": list(map(bool, self.overclocked)),
+            "attained": list(map(bool, self.attained)),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "FrequencyAssignment":
         """Inverse of :meth:`to_dict`; raises on malformed input."""
         try:
-            gears = tuple(Gear(f, v) for f, v in data["gears"])
-            return cls(
-                gears=gears,
+            return cls.from_gears(
+                [Gear(f, v) for f, v in data["gears"]],
                 target_time=float(data["target_time"]),
-                overclocked=tuple(bool(x) for x in data["overclocked"]),
-                attained=tuple(bool(x) for x in data["attained"]),
+                overclocked=data["overclocked"],
+                attained=data["attained"],
                 algorithm=str(data["algorithm"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -140,21 +291,21 @@ class FrequencyAlgorithm:
         model: BetaTimeModel,
         nominal_fmax: float,
     ) -> FrequencyAssignment:
-        """Shared core: pick, per rank, the slowest gear meeting ``target``."""
-        gears: list[Gear] = []
-        over: list[bool] = []
-        attained: list[bool] = []
-        for t in compute_times:
-            f_req = model.frequency_for(t, target)
-            sel = gear_set.select(f_req)
-            gears.append(sel.gear)
-            over.append(sel.gear.frequency > nominal_fmax * (1.0 + 1e-12))
-            attained.append(sel.attained)
+        """Shared core: pick, per rank, the slowest gear meeting ``target``.
+
+        One inversion of Eq. 3 over every rank, then one round-up
+        selection on the gear set.
+        """
+        table, index, attained = gear_set.select_many(
+            model.frequencies_for(compute_times, target)
+        )
+        over = table.frequencies[index] > nominal_fmax * (1.0 + 1e-12)
         return FrequencyAssignment(
-            gears=tuple(gears),
+            index=index,
+            table=table,
             target_time=float(target),
-            overclocked=tuple(over),
-            attained=tuple(attained),
+            overclocked=_flags(over),
+            attained=_flags(attained),
             algorithm=self.name,
         )
 
@@ -163,11 +314,22 @@ class FrequencyAlgorithm:
         times = np.asarray(compute_times, dtype=float)
         if times.size == 0:
             raise ValueError("need at least one rank")
-        if (times < 0.0).any():
+        # min and max propagate NaN, and see both infinities
+        lo, hi = float(times.min()), float(times.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("computation times must be finite")
+        if lo < 0.0:
             raise ValueError("computation times must be >= 0")
-        if times.max() <= 0.0:
+        if hi <= 0.0:
             raise ValueError("at least one rank must compute")
         return times
+
+    @staticmethod
+    def _fastest_time(
+        times: np.ndarray, gear_set: GearSet, model: BetaTimeModel
+    ) -> float:
+        """The slowest rank's completion with every rank at the ceiling."""
+        return float((times * model.ratio(gear_set.fmax)).max())
 
 
 class MaxAlgorithm(FrequencyAlgorithm):
@@ -232,8 +394,7 @@ class AvgAlgorithm(FrequencyAlgorithm):
         times = self._validate(compute_times)
         wanted = self._target_time(times)
         # Fastest completion attainable for each rank given the ceiling:
-        ceiling = gear_set.fmax
-        floor_time = max(model.scale(t, ceiling) for t in times)
+        floor_time = self._fastest_time(times, gear_set, model)
         target = max(wanted, floor_time)
         return self._assign_to_target(
             times, target, gear_set, model, nominal_fmax=model.fmax
@@ -252,12 +413,12 @@ class NoDvfsAlgorithm(FrequencyAlgorithm):
         model: BetaTimeModel,
     ) -> FrequencyAssignment:
         times = self._validate(compute_times)
-        sel = gear_set.select(model.fmax)
-        gears = tuple(sel.gear for _ in range(times.size))
+        table, index, attained = gear_set.select_many([model.fmax])
         return FrequencyAssignment(
-            gears=gears,
+            index=np.full(times.size, index[0]),
+            table=table,
             target_time=float(times.max()),
-            overclocked=tuple(False for _ in gears),
-            attained=tuple(sel.attained for _ in gears),
+            overclocked=(False,) * times.size,
+            attained=(bool(attained[0]),) * times.size,
             algorithm=self.name,
         )

@@ -186,6 +186,8 @@ class BalanceReport:
                 k: [_plain(x) for x in v] if isinstance(v, list) else _plain(v)
                 for k, v in power.items()
             }
+        assignment = self.assignment
+        frequencies, voltages = assignment.per_rank_lists()
         return {
             **extra,
             **{k: _plain(v) for k, v in self.row().items()},
@@ -195,15 +197,11 @@ class BalanceReport:
             "original_energy_j": float(self.original_energy.total),
             "new_energy_j": float(self.new_energy.total),
             "assignment": {
-                "target_time_s": float(self.assignment.target_time),
-                "frequencies_ghz": [
-                    float(g.frequency) for g in self.assignment.gears
-                ],
-                "voltages_v": [
-                    float(g.voltage) for g in self.assignment.gears
-                ],
-                "overclocked": [bool(x) for x in self.assignment.overclocked],
-                "attained": [bool(x) for x in self.assignment.attained],
+                "target_time_s": float(assignment.target_time),
+                "frequencies_ghz": frequencies,
+                "voltages_v": voltages,
+                "overclocked": list(map(bool, assignment.overclocked)),
+                "attained": list(map(bool, assignment.attained)),
             },
         }
 

@@ -11,14 +11,16 @@ the shared work once and vectorises the rest:
 1. the nominal baseline replay is computed once per trace (memoised
    via :func:`repro.core.balancer.nominal_replay`), as are the per-rank
    compute times, LB and PE — they do not depend on the candidate;
-2. every candidate's frequency assignment is computed (cheap Python)
-   and stacked into one ``(K, nproc)`` matrix;
+2. every candidate's frequency assignment is computed (one array
+   inversion and one gear-index selection per cell) and its per-rank
+   frequencies are stacked into one ``(K, nproc)`` matrix;
 3. the matrix is priced by the engine's ``evaluate_assignments`` sweep
    API — chunked compiled ``evaluate_many`` passes when the world is
    supported (chunking bounds peak memory), per-candidate DES replays
    otherwise — so a batch always prices, whatever the world;
 4. energy is integrated over the ``(K, nproc)`` result arrays by
-   :meth:`~repro.core.energy.EnergyAccountant.run_energy_many`.
+   :meth:`~repro.core.energy.EnergyAccountant.run_energy_many`, from
+   each assignment's gear-index row and gear table.
 
 Reports are built by :func:`~repro.core.balancer.priced_report`, like
 the scalar path's, and are byte-identical (``to_json()``) to running
@@ -137,7 +139,8 @@ class BatchBalancePlanner:
         # shared, candidate-independent work: baseline replay + metrics
         base = trace_baseline(self.simulator, self.accountant, trace)
 
-        # per-candidate assignments (cheap Python), stacked into (K, nproc)
+        # per-candidate assignments (gear-index rows), their frequencies
+        # stacked into (K, nproc)
         algorithms = [c.algorithm or self.algorithm for c in cands]
         assignments = [
             alg.assign(base.compute_times, c.gear_set, self.time_model)
@@ -152,7 +155,10 @@ class BatchBalancePlanner:
         exec_times = batch["execution_time"]
         comp_many = batch["compute_times"]
         new_energies = self.accountant.run_energy_many(
-            comp_many, exec_times, [list(a.gears) for a in assignments]
+            comp_many,
+            exec_times,
+            [a.index for a in assignments],
+            [a.table for a in assignments],
         )
 
         return [

@@ -172,12 +172,11 @@ class JitterRuntime:
                     )
                 prev_times = prediction
             if prev_times is None or prev_times.max() <= 0.0:
-                gears = tuple(nominal_gear for _ in range(trace.nproc))
-                assignment = FrequencyAssignment(
-                    gears=gears,
+                assignment = FrequencyAssignment.from_gears(
+                    [nominal_gear] * trace.nproc,
                     target_time=float(compute_times(region).max()),
-                    overclocked=tuple(False for _ in gears),
-                    attained=tuple(True for _ in gears),
+                    overclocked=[False] * trace.nproc,
+                    attained=[True] * trace.nproc,
                     algorithm="warmup",
                 )
             else:

@@ -21,7 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.gears import Gear
+from repro.core.gears import Gear, GearTable
 from repro.core.power import CpuPowerModel, CpuState
 
 __all__ = ["EnergyAccountant", "EnergyBreakdown"]
@@ -116,19 +116,23 @@ class EnergyAccountant:
         self,
         compute_times: Any,
         execution_times: Any,
-        gears_rows: Sequence[Sequence[Gear]],
+        index_rows: Sequence[Any],
+        tables: Sequence[GearTable],
     ) -> list[EnergyBreakdown]:
         """Energy of K runs at once, bit-identical to K :meth:`run_energy`.
 
-        ``compute_times`` is ``(K, nproc)``, ``execution_times`` is
-        ``(K,)`` and ``gears_rows`` holds one gear sequence per run.
-        Power lookups are memoised per distinct gear (each gear's power
-        is computed by the *same* scalar :meth:`CpuPowerModel.power`
-        call the scalar path uses — one source of truth, exact floats),
-        the energy products are element-wise (row-independent by IEEE
-        semantics), and the per-run reductions sum each contiguous row
-        exactly like the scalar path's 1-D sums.  Validation raises the
-        same errors, labelled with the offending run index.
+        ``compute_times`` is ``(K, nproc)`` and ``execution_times`` is
+        ``(K,)``.  Run ``k`` ran rank ``r`` at gear
+        ``tables[k]`` entry ``index_rows[k][r]`` — the
+        :attr:`~repro.core.algorithms.FrequencyAssignment.index` /
+        ``.table`` pair of its assignment.  Each table entry's powers
+        come from the *same* scalar :class:`CpuPowerModel` arithmetic
+        the scalar path uses (:meth:`GearTable.powers`), fanned out to
+        ranks by indexing; the energy products are element-wise
+        (row-independent by IEEE semantics), and the per-run reductions
+        sum each contiguous row exactly like the scalar path's 1-D sums.
+        Validation raises the same errors, labelled with the offending
+        run index.
         """
         compute = np.asarray(compute_times, dtype=float)
         exec_t = np.asarray(execution_times, dtype=float)
@@ -141,48 +145,20 @@ class EnergyAccountant:
             raise ValueError(
                 f"execution_times shape {exec_t.shape} does not match (K={K},)"
             )
-        if len(gears_rows) != K:
-            raise ValueError(f"{len(gears_rows)} gear rows for {K} runs")
-
-        # Distinct-gear power table: each gear's three powers come from
-        # the *same* scalar CpuPowerModel calls the scalar path uses
-        # (one source of truth, exact floats), computed once per gear
-        # and fanned out to rows by index lookup.
-        pm = self.power_model
-        index: dict[Gear, int] = {}
-        table: list[tuple[float, float, float]] = []
-
-        def gear_index(gear: Gear) -> int:
-            idx = index.get(gear)
-            if idx is None:
-                idx = len(table)
-                index[gear] = idx
-                table.append(
-                    (
-                        pm.power(gear, CpuState.COMPUTE),
-                        pm.power(gear, CpuState.COMM),
-                        pm.static_power(gear),
-                    )
-                )
-            return idx
-
-        rows_idx = []
-        for k, gears in enumerate(gears_rows):
-            if len(gears) != nproc:
-                raise ValueError(
-                    f"run {k}: {len(gears)} gears for {nproc} ranks"
-                )
-            rows_idx.append(
-                np.fromiter(
-                    (gear_index(g) for g in gears),
-                    dtype=np.intp,
-                    count=nproc,
-                )
+        if len(index_rows) != K or len(tables) != K:
+            raise ValueError(
+                f"{len(index_rows)} index rows and {len(tables)} gear "
+                f"tables for {K} runs"
             )
-        powers = np.asarray(table, dtype=float)
 
+        pm = self.power_model
         out: list[EnergyBreakdown] = []
         for k in range(K):
+            idx = np.asarray(index_rows[k])
+            if idx.shape != (nproc,):
+                raise ValueError(
+                    f"run {k}: {idx.size} gears for {nproc} ranks"
+                )
             execution_time = float(exec_t[k])
             row = compute[k]
             if execution_time < 0.0:
@@ -197,7 +173,7 @@ class EnergyAccountant:
                     f"run {k}: rank {bad} computes {row[bad]:.9g}s but the "
                     f"run only lasts {execution_time:.9g}s"
                 )
-            p_compute, p_comm, p_static = powers[rows_idx[k]].T
+            p_compute, p_comm, p_static = tables[k].powers(pm)[:, idx]
             comm = np.maximum(execution_time - row, 0.0)
             e_compute = p_compute * row
             e_comm = p_comm * comm

@@ -22,19 +22,29 @@ Gear sets:
 Frequency selection follows the paper: "the new frequency is the closest
 *higher* frequency from the gear set" (round up).  An unattainable
 request clamps to the set's extreme and is flagged.
+
+:meth:`GearSet.select_many` applies the rule to a whole array of
+requests and answers with a :class:`GearTable` (read-only frequency and
+voltage arrays) plus one table index per request — the form frequency
+assignments carry, so pricing never builds a :class:`Gear` per rank.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from collections.abc import Iterable
+from functools import cached_property
+from collections.abc import Iterable, Sequence
+from typing import Any
+
+import numpy as np
 
 __all__ = [
     "ContinuousGearSet",
     "DiscreteGearSet",
     "Gear",
     "GearSet",
+    "GearTable",
     "LinearVoltageLaw",
     "NOMINAL_FMAX",
     "NOMINAL_FMIN",
@@ -101,8 +111,93 @@ class LinearVoltageLaw:
     def gear(self, frequency: float) -> Gear:
         return Gear(frequency, self.voltage(frequency))
 
+    def voltages(self, frequencies: Any) -> np.ndarray:
+        """:meth:`voltage` elementwise: the same floats and checks."""
+        f = np.asarray(frequencies, dtype=float)
+        bad = f <= 0.0
+        if bad.any():
+            got = float(f[np.argmax(bad)])
+            raise ValueError(f"frequency must be positive, got {got!r}")
+        slope = (self.v1 - self.v0) / (self.f1 - self.f0)
+        v = self.v0 + (f - self.f0) * slope
+        bad = v <= 0.0
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(
+                f"voltage law yields non-physical V={float(v[k])!r} "
+                f"at f={float(f[k])!r}"
+            )
+        return v
+
 
 DEFAULT_VOLTAGE_LAW = LinearVoltageLaw()
+
+
+class GearTable:
+    """Read-only operating points that frequency assignments index into.
+
+    ``frequencies`` and ``voltages`` are parallel read-only float64
+    arrays; entry ``i`` is the gear ``(frequencies[i], voltages[i])``.
+    A discrete set builds its table once; a continuous set builds one
+    per selection, one entry per request.
+    """
+
+    __slots__ = ("frequencies", "voltages")
+
+    def __init__(self, frequencies: Any, voltages: Any):
+        f = np.array(frequencies, dtype=float)
+        v = np.array(voltages, dtype=float)
+        if f.ndim != 1 or f.shape != v.shape:
+            raise ValueError(
+                f"need parallel 1-D frequency/voltage arrays, got "
+                f"shapes {f.shape} and {v.shape}"
+            )
+        f.setflags(write=False)
+        v.setflags(write=False)
+        self.frequencies = f
+        self.voltages = v
+
+    @classmethod
+    def of(cls, gears: Sequence[Gear]) -> "GearTable":
+        return cls([g.frequency for g in gears], [g.voltage for g in gears])
+
+    def __len__(self) -> int:
+        return len(self.frequencies)
+
+    def powers(self, power_model: Any) -> np.ndarray:
+        """``(3, len)`` compute, comm and static power per entry.
+
+        Each entry is the float the scalar
+        :meth:`~repro.core.power.CpuPowerModel.point_powers` call gives:
+        the power law is never re-evaluated in array arithmetic, whose
+        ``v**2`` may round differently from the scalar ``**``.
+        """
+        return np.array(
+            [
+                power_model.point_powers(f, v)
+                for f, v in zip(
+                    self.frequencies.tolist(), self.voltages.tolist(),
+                    strict=True,
+                )
+            ],
+            dtype=float,
+        ).T
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # plain float lists: cheaper to unpickle than two ndarrays
+        return (
+            GearTable, (self.frequencies.tolist(), self.voltages.tolist())
+        )
+
+
+def _checked_requests(required: Any) -> np.ndarray:
+    req = np.asarray(required, dtype=float)
+    # min propagates NaN: one reduction screens both kinds of bad request
+    if req.size and not req.min() >= 0.0:
+        bad = np.isnan(req) | (req < 0.0)
+        got = float(req[np.argmax(bad)])
+        raise ValueError(f"bad required frequency {got!r}")
+    return req
 
 
 @dataclass(frozen=True)
@@ -141,6 +236,27 @@ class GearSet:
         """
         raise NotImplementedError
 
+    def select_many(
+        self, required: Any
+    ) -> tuple[GearTable, np.ndarray, np.ndarray]:
+        """:meth:`select` for an array of requests at once.
+
+        Returns ``(table, index, attained)``: request ``k`` gets the
+        gear at ``table`` entry ``index[k]``, and ``attained[k]`` is
+        :attr:`SelectionResult.attained`.  This fallback calls
+        :meth:`select` per request, for sets that define only that;
+        the paper's sets override it with array operations.
+        """
+        slots: dict[Gear, int] = {}
+        req = np.asarray(required, dtype=float)
+        index = np.empty(req.size, dtype=np.intp)
+        attained = np.empty(req.size, dtype=bool)
+        for k, f in enumerate(req.tolist()):
+            sel = self.select(f)
+            index[k] = slots.setdefault(sel.gear, len(slots))
+            attained[k] = sel.attained
+        return GearTable.of(list(slots)), index, attained
+
     def top_gear(self) -> Gear:
         return self.select(self.fmax).gear
 
@@ -178,6 +294,17 @@ class ContinuousGearSet(GearSet):
         f = max(required_frequency, self._fmin)
         return SelectionResult(self.law.gear(f), attained=True)
 
+    def select_many(
+        self, required: Any
+    ) -> tuple[GearTable, np.ndarray, np.ndarray]:
+        """Clamp every request into ``[fmin, fmax]`` and apply the
+        voltage law elementwise: a one-entry-per-request table."""
+        req = _checked_requests(required)
+        attained = ~(req > self._fmax)
+        f = np.where(attained, np.maximum(req, self._fmin), self._fmax)
+        table = GearTable(f, self.law.voltages(f))
+        return table, np.arange(req.size), attained
+
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"<ContinuousGearSet {self.name}>"
 
@@ -197,6 +324,12 @@ class DiscreteGearSet(GearSet):
             raise ValueError("gear voltages must increase with frequency")
         self.gears: tuple[Gear, ...] = tuple(sorted_gears)
         self.name = name or f"discrete[{len(self.gears)}]"
+
+    @cached_property
+    def table(self) -> GearTable:
+        """The gears as a read-only :class:`GearTable`, built on first
+        use (a set that only names a cell never needs it)."""
+        return GearTable.of(self.gears)
 
     def __len__(self) -> int:
         return len(self.gears)
@@ -223,6 +356,17 @@ class DiscreteGearSet(GearSet):
             if gear.frequency >= required_frequency - 1e-12:
                 return SelectionResult(gear, attained=True)
         return SelectionResult(self.gears[-1], attained=False)
+
+    def select_many(
+        self, required: Any
+    ) -> tuple[GearTable, np.ndarray, np.ndarray]:
+        """Round every request up at once: the first gear at or above
+        ``request - 1e-12`` (``searchsorted`` on the sorted
+        frequencies), the top gear where none is."""
+        req = _checked_requests(required)
+        top = len(self.gears) - 1
+        index = np.searchsorted(self.table.frequencies, req - 1e-12)
+        return self.table, np.minimum(index, top), index <= top
 
     def with_extra_gear(self, gear: Gear, name: str | None = None) -> "DiscreteGearSet":
         """The AVG extension: same set plus one over-clock gear on top."""

@@ -118,14 +118,18 @@ class PhaseAwareLoadBalancer:
         from repro.traces.records import ComputeBurst
 
         model = self.time_model
+        freqs = {
+            label: assignment.frequencies.tolist()
+            for label, assignment in assignments.items()
+        }
         streams = []
         for stream in trace:
             new_records = []
             for rec in stream:
                 if isinstance(rec, ComputeBurst) and rec.duration > 0.0:
-                    assignment = assignments.get(rec.phase)
-                    if assignment is not None:
-                        f = assignment.gears[stream.rank].frequency
+                    phase_freqs = freqs.get(rec.phase)
+                    if phase_freqs is not None:
+                        f = phase_freqs[stream.rank]
                         beta = model.beta if rec.beta is None else rec.beta
                         rec = ComputeBurst(
                             rec.duration * model.ratio(f, beta), phase=rec.phase
@@ -144,13 +148,17 @@ class PhaseAwareLoadBalancer:
         from repro.traces.analysis import compute_times_by_phase
 
         phases = compute_times_by_phase(trace)
+        freqs = {
+            label: assignment.frequencies.tolist()
+            for label, assignment in assignments.items()
+        }
         gears: list[Gear] = []
         for rank in range(trace.nproc):
             weighted = 0.0
             total = 0.0
-            for label, assignment in assignments.items():
+            for label in assignments:
                 t = phases[label][rank]
-                f = assignment.gears[rank].frequency
+                f = freqs[label][rank]
                 t_actual = self.time_model.scale(t, f)
                 weighted += t_actual * f
                 total += t_actual
@@ -181,12 +189,15 @@ class PhaseAwareLoadBalancer:
         from repro.traces.analysis import compute_times_by_phase
 
         phases = compute_times_by_phase(trace)
+        gears_by_phase = {
+            label: assignment.gears for label, assignment in assignments.items()
+        }
         new_energy = 0.0
         for rank in range(trace.nproc):
             compute_seconds = 0.0
-            for label, assignment in assignments.items():
+            for label, gears in gears_by_phase.items():
                 t = phases[label][rank]
-                gear = assignment.gears[rank]
+                gear = gears[rank]
                 t_actual = self.time_model.scale(t, gear.frequency)
                 new_energy += t_actual * pm.power(gear, CpuState.COMPUTE)
                 compute_seconds += t_actual

@@ -27,6 +27,7 @@ Conventions (exactly the paper's):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.core.gears import (
     DEFAULT_VOLTAGE_LAW,
@@ -83,7 +84,7 @@ class CpuPowerModel:
             raise ValueError(f"nominal fmax must be positive, got {self.nominal_fmax!r}")
 
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def alpha(self) -> float:
         """Technology parameter of Eq. 2, from the calibration rule."""
         sf = self.static_fraction
@@ -92,10 +93,13 @@ class CpuPowerModel:
 
     def dynamic_power(self, gear: Gear, state: str = CpuState.COMPUTE) -> float:
         """Eq. 1 with ``A*C`` = 1 (compute) or 1/activity_ratio (comm)."""
+        return self._dynamic(gear.frequency, gear.voltage, state)
+
+    def _dynamic(self, frequency: float, voltage: float, state: str) -> float:
         activity = 1.0 if state == CpuState.COMPUTE else 1.0 / self.activity_ratio
         if state not in CpuState.ALL:
             raise ValueError(f"unknown CPU state {state!r}")
-        return activity * gear.frequency * gear.voltage**2
+        return activity * frequency * voltage**2
 
     def static_power(self, gear: Gear) -> float:
         """Eq. 2."""
@@ -104,6 +108,22 @@ class CpuPowerModel:
     def power(self, gear: Gear, state: str = CpuState.COMPUTE) -> float:
         """Total CPU power at a gear in a given activity state."""
         return self.dynamic_power(gear, state) + self.static_power(gear)
+
+    def point_powers(
+        self, frequency: float, voltage: float
+    ) -> tuple[float, float, float]:
+        """(compute, comm, static) power at a bare operating point.
+
+        The floats :meth:`power` and :meth:`static_power` give for
+        ``Gear(frequency, voltage)``, without building the gear (gear
+        tables price their entries through this).
+        """
+        static = self.alpha * voltage
+        return (
+            self._dynamic(frequency, voltage, CpuState.COMPUTE) + static,
+            self._dynamic(frequency, voltage, CpuState.COMM) + static,
+            static,
+        )
 
     # ------------------------------------------------------------------
     def reference_power(self) -> float:

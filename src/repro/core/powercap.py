@@ -55,9 +55,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any
 
+import numpy as np
+
 from repro.core.algorithms import FrequencyAlgorithm, FrequencyAssignment
 from repro.core.balancer import BalanceReport
-from repro.core.gears import NOMINAL_FMAX, Gear, GearSet
+from repro.core.gears import NOMINAL_FMAX, DiscreteGearSet, Gear, GearSet
 from repro.core.power import CpuPowerModel, CpuState
 from repro.core.timemodel import BetaTimeModel
 
@@ -131,7 +133,10 @@ class PowerCapAlgorithm(FrequencyAlgorithm):
 
     # ------------------------------------------------------------------
     def _peak(self, assignment: FrequencyAssignment) -> float:
-        return modeled_peak_power(assignment.gears, self.power_model)
+        """:func:`modeled_peak_power` from the assignment's gear table:
+        the same per-gear floats, the same left-to-right sum."""
+        p_compute = assignment.table.powers(self.power_model)[0]
+        return sum(p_compute[assignment.index].tolist())
 
     def screen(self, nproc: int, gear_set: GearSet) -> list[Any]:
         """The shared PC001–PC004 feasibility screen for this cap."""
@@ -154,10 +159,9 @@ class PowerCapAlgorithm(FrequencyAlgorithm):
         the cap forced it below the gear it would get here).
         """
         times = self._validate(compute_times)
-        ceiling = gear_set.fmax
-        floor_time = max(model.scale(t, ceiling) for t in times.tolist())
         return self._assign_to_target(
-            times, floor_time, gear_set, model, nominal_fmax=model.fmax
+            times, self._fastest_time(times, gear_set, model), gear_set,
+            model, nominal_fmax=model.fmax,
         )
 
     def assign(
@@ -180,8 +184,7 @@ class PowerCapAlgorithm(FrequencyAlgorithm):
         # 1. critical-path-first greedy: the most loaded rank keeps the
         # set ceiling; everyone off the critical path donates first by
         # dropping to the slowest gear that still meets its completion.
-        ceiling = gear_set.fmax
-        floor_time = max(model.scale(t, ceiling) for t in times.tolist())
+        floor_time = self._fastest_time(times, gear_set, model)
         greedy = self._assign_to_target(
             times, floor_time, gear_set, model, nominal_fmax=model.fmax
         )
@@ -194,7 +197,7 @@ class PowerCapAlgorithm(FrequencyAlgorithm):
         # gear); the screen above guarantees the all-fmin end is
         # feasible.
         lo = floor_time
-        hi = max(model.scale(t, gear_set.fmin) for t in times.tolist())
+        hi = float((times * model.ratio(gear_set.fmin)).max())
         grid = self._threshold_grid(times, gear_set, model, lo, hi)
         if grid is not None:
             # discrete set: the assignment is a step function of the
@@ -245,20 +248,22 @@ class PowerCapAlgorithm(FrequencyAlgorithm):
         self, times: Any, gear_set: GearSet, target: float
     ) -> FrequencyAssignment:
         """Every rank at the set floor — the minimum-peak assignment."""
-        sel = gear_set.select(0.0)  # round-up from zero: the floor gear
+        # round-up from zero: the floor gear
+        table, index, attained = gear_set.select_many([0.0])
         n = int(times.size)
         return FrequencyAssignment(
-            gears=(sel.gear,) * n,
+            index=np.full(n, index[0]),
+            table=table,
             target_time=float(target),
             overclocked=(False,) * n,
-            attained=(sel.attained,) * n,
+            attained=(bool(attained[0]),) * n,
             algorithm=self.name,
         )
 
     def _threshold_grid(
         self, times: Any, gear_set: GearSet, model: BetaTimeModel,
         lo: float, hi: float,
-    ) -> tuple[list[float], Any] | None:
+    ) -> tuple[Any, Any] | None:
         """(sorted water levels, vectorised peak probe) for the search.
 
         ``None`` for continuous sets (no finite threshold list).  Every
@@ -271,27 +276,16 @@ class PowerCapAlgorithm(FrequencyAlgorithm):
         whose completion meets the level, i.e. gear index = number of
         gears still too slow (rows are descending in gear index).
         """
-        import numpy as np
-
-        from repro.core.gears import DiscreteGearSet
-
         if not isinstance(gear_set, DiscreteGearSet):
             return None
-        rows = [
-            [model.scale(t, g.frequency) for g in gear_set.gears]
-            for t in times.tolist()
-        ]
-        levels = sorted(v for row in rows for v in row if lo < v <= hi)
-        if not levels or levels[-1] < hi:
-            levels.append(hi)
-        thresh = np.asarray(rows)
-        p_comp = np.asarray(
-            [
-                self.power_model.power(g, CpuState.COMPUTE)
-                for g in gear_set.gears
-            ]
-        )
-        top = len(gear_set.gears) - 1
+        table = gear_set.table
+        thresh = times[:, None] * model.ratios(table.frequencies)[None, :]
+        flat = thresh.ravel()
+        levels = np.sort(flat[(flat > lo) & (flat <= hi)])
+        if not levels.size or levels[-1] < hi:
+            levels = np.append(levels, hi)
+        p_comp = table.powers(self.power_model)[0]
+        top = len(table) - 1
 
         def probe_peak(level: float) -> float:
             counts = np.minimum((thresh > level).sum(axis=1), top)
@@ -318,22 +312,19 @@ class PowerCapAlgorithm(FrequencyAlgorithm):
         reference = self.uncapped_reference(
             report.meta["original_compute_times"], gear_set, model
         )
-        binding = [
-            k
-            for k, (got, want) in enumerate(
-                zip(report.assignment.gears, reference.gears, strict=True)
+        got, want = report.assignment.frequencies, reference.frequencies
+        if got.shape != want.shape:
+            raise ValueError(
+                f"{got.size} assigned gears for {want.size} ranks"
             )
-            if got.frequency < want.frequency - 1e-12
-        ]
+        binding = np.flatnonzero(got < want - 1e-12).tolist()
         return {
             "cap_w": float(self.cap),
             "peak_power_w": float(peak),
             "avg_power_w": avg,
             "headroom_w": float(self.cap - peak),
-            "uncapped_peak_power_w": float(
-                modeled_peak_power(reference.gears, self.power_model)
-            ),
-            "binding_ranks": [int(k) for k in binding],
+            "uncapped_peak_power_w": float(self._peak(reference)),
+            "binding_ranks": binding,
             "binding_count": len(binding),
             "target_time_s": float(report.assignment.target_time),
         }

@@ -22,9 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any
+
+import numpy as np
 
 __all__ = [
     "BetaTimeModel",
+    "required_frequencies",
     "required_frequency",
     "scaled_time",
     "time_ratio",
@@ -93,6 +97,37 @@ def required_frequency(
     return fmax / denom
 
 
+def required_frequencies(
+    t_at_fmax: Any, t_target: float, fmax: float, beta: float
+) -> np.ndarray:
+    """:func:`required_frequency` for every phase time at once.
+
+    The same IEEE operations elementwise, so each entry is the float
+    the scalar inversion returns for that time (``0.0`` for an empty
+    phase, ``inf`` for an unattainable target).
+    """
+    _check_beta(beta)
+    times = np.asarray(t_at_fmax, dtype=float)
+    if not times.size:
+        return np.empty(times.shape)
+    t_min = times.min()
+    if t_target < 0.0 or t_min < 0.0:
+        raise ValueError("times must be >= 0")
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if t_target == 0.0:
+            out = np.full(times.shape, math.inf)
+        elif beta == 0.0:
+            out = np.where(t_target / times >= 1.0, 0.0, math.inf)
+        else:
+            denom = (t_target / times - 1.0) / beta + 1.0
+            out = fmax / denom
+            if not denom.min() > 0.0:  # also taken when a NaN is present
+                out[denom <= 0.0] = math.inf
+    if not t_min > 0.0:
+        out[times == 0.0] = 0.0
+    return out
+
+
 @dataclass(frozen=True)
 class BetaTimeModel:
     """Bound form of the model: fixed ``fmax`` and default ``beta``.
@@ -115,12 +150,25 @@ class BetaTimeModel:
     def scale(self, t_at_fmax: float, f: float, beta: float | None = None) -> float:
         return scaled_time(t_at_fmax, f, self.fmax, self.beta if beta is None else beta)
 
+    def ratios(self, frequencies: Any) -> np.ndarray:
+        """:meth:`ratio` elementwise at the default β (the same floats)."""
+        f = np.asarray(frequencies, dtype=float)
+        bad = f <= 0.0
+        if bad.any():
+            got = float(f[np.argmax(bad)])
+            raise ValueError(f"frequency must be positive, got {got!r}")
+        return self.beta * (self.fmax / f - 1.0) + 1.0
+
     def frequency_for(
         self, t_at_fmax: float, t_target: float, beta: float | None = None
     ) -> float:
         return required_frequency(
             t_at_fmax, t_target, self.fmax, self.beta if beta is None else beta
         )
+
+    def frequencies_for(self, times: Any, t_target: float) -> np.ndarray:
+        """:meth:`frequency_for` for every time at once, default β."""
+        return required_frequencies(times, t_target, self.fmax, self.beta)
 
     def min_time_at(self, t_at_fmax: float, f_ceiling: float,
                     beta: float | None = None) -> float:

@@ -93,8 +93,11 @@ class AssignmentContext:
             pairs = tuple((float(f), float(v)) for f, v in raw)
         else:
             pairs = tuple(
-                (float(g.frequency), float(g.voltage))
-                for g in assignment.gears
+                zip(
+                    assignment.frequencies.tolist(),
+                    assignment.voltages.tolist(),
+                    strict=True,
+                )
             )
         return cls(
             gear_set=gear_set,

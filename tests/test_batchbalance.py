@@ -34,6 +34,7 @@ from repro.core.batchbalance import (
 from repro.core.energy import EnergyAccountant
 from repro.core.gears import (
     NOMINAL_FMAX,
+    Gear,
     exponential_gear_set,
     limited_continuous_set,
     overclocked,
@@ -343,22 +344,36 @@ class TestBaselineMemoisation:
 # ---------------------------------------------------------------------------
 class TestRunEnergyMany:
     def _batch(self, seed=7, K=5, nproc=6):
+        """K runs over gear-index rows into per-run tables: a shared
+        discrete table, plus one per-rank table as continuous sets
+        build them."""
         rng = np.random.default_rng(seed)
         gear_set = uniform_gear_set(4)
         exec_t = rng.uniform(1.0, 2.0, K)
         compute = rng.uniform(0.1, 0.9, (K, nproc)) * exec_t[:, None]
-        gears_rows = [
-            [gear_set.gears[i] for i in rng.integers(0, len(gear_set), nproc)]
-            for _ in range(K)
+        index_rows = [
+            rng.integers(0, len(gear_set), nproc) for _ in range(K)
         ]
-        return compute, exec_t, gears_rows
+        tables = [gear_set.table] * K
+        per_rank, _, _ = limited_continuous_set().select_many(
+            rng.uniform(0.9, 2.2, nproc)
+        )
+        index_rows[-1], tables[-1] = np.arange(nproc), per_rank
+        return compute, exec_t, index_rows, tables
 
     def test_matches_scalar_run_energy_exactly(self):
         acc = EnergyAccountant()
-        compute, exec_t, gears_rows = self._batch()
-        many = acc.run_energy_many(compute, exec_t, gears_rows)
+        compute, exec_t, index_rows, tables = self._batch()
+        many = acc.run_energy_many(compute, exec_t, index_rows, tables)
         for k, breakdown in enumerate(many):
-            one = acc.run_energy(compute[k], float(exec_t[k]), gears_rows[k])
+            table, rows = tables[k], index_rows[k]
+            gears = [
+                Gear(f, v) for f, v in zip(
+                    table.frequencies[rows].tolist(),
+                    table.voltages[rows].tolist(),
+                )
+            ]
+            one = acc.run_energy(compute[k], float(exec_t[k]), gears)
             assert breakdown.compute_energy == one.compute_energy
             assert breakdown.comm_energy == one.comm_energy
             assert breakdown.static_energy == one.static_energy
@@ -368,29 +383,31 @@ class TestRunEnergyMany:
 
     def test_shape_validation(self):
         acc = EnergyAccountant()
-        compute, exec_t, gears_rows = self._batch()
+        compute, exec_t, index_rows, tables = self._batch()
         with pytest.raises(ValueError, match=r"\(K, nproc\)"):
-            acc.run_energy_many(compute[0], exec_t, gears_rows)
+            acc.run_energy_many(compute[0], exec_t, index_rows, tables)
         with pytest.raises(ValueError, match="does not match"):
-            acc.run_energy_many(compute, exec_t[:-1], gears_rows)
-        with pytest.raises(ValueError, match="gear rows"):
-            acc.run_energy_many(compute, exec_t, gears_rows[:-1])
+            acc.run_energy_many(compute, exec_t[:-1], index_rows, tables)
+        with pytest.raises(ValueError, match="index rows"):
+            acc.run_energy_many(compute, exec_t, index_rows[:-1], tables)
+        with pytest.raises(ValueError, match="gear tables"):
+            acc.run_energy_many(compute, exec_t, index_rows, tables[:-1])
         with pytest.raises(ValueError, match="run 2: .* gears for"):
-            short = list(gears_rows)
+            short = list(index_rows)
             short[2] = short[2][:-1]
-            acc.run_energy_many(compute, exec_t, short)
+            acc.run_energy_many(compute, exec_t, short, tables)
 
     def test_errors_are_labelled_with_the_run_index(self):
         acc = EnergyAccountant()
-        compute, exec_t, gears_rows = self._batch()
+        compute, exec_t, index_rows, tables = self._batch()
         bad_exec = exec_t.copy()
         bad_exec[3] = -1.0
         with pytest.raises(ValueError, match="run 3: execution time"):
-            acc.run_energy_many(compute, bad_exec, gears_rows)
+            acc.run_energy_many(compute, bad_exec, index_rows, tables)
         bad_compute = compute.copy()
         bad_compute[1, 4] = exec_t[1] * 2.0
         with pytest.raises(ValueError, match="run 1: rank 4 computes"):
-            acc.run_energy_many(bad_compute, exec_t, gears_rows)
+            acc.run_energy_many(bad_compute, exec_t, index_rows, tables)
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,59 @@ class TestCorruption:
             ResultCache(tmp_path / "warm").get("trace", payload), ColumnarTrace
         )
 
+    @pytest.mark.parametrize("cell", ["max-discrete", "avg-continuous", "capped"])
+    def test_pre_index_report_blob_renders_the_same_bytes(
+        self, tmp_path, monkeypatch, cell
+    ):
+        """A report pickled when assignments held a ``gears`` tuple (numpy
+        scalars and all) is served from the cache — no corrupt miss — and
+        renders exactly the bytes a cold pricing does."""
+        import numpy as np
+
+        from repro.core.algorithms import (
+            AvgAlgorithm,
+            FrequencyAssignment,
+            MaxAlgorithm,
+        )
+        from repro.core.gears import Gear, unlimited_continuous_set
+        from repro.core.powercap import PowerCapAlgorithm
+
+        gear_set, algorithm = {
+            "max-discrete": (uniform_gear_set(6), MaxAlgorithm()),
+            "avg-continuous": (unlimited_continuous_set(), AvgAlgorithm()),
+            "capped": (uniform_gear_set(6), PowerCapAlgorithm(30.0)),
+        }[cell]
+        cold = make_runner(tmp_path / "cold").balance("CG-16", gear_set, algorithm)
+
+        # the old attribute layout, pickled the way the old class was
+        new = cold.assignment
+        pre_index = FrequencyAssignment.__new__(FrequencyAssignment)
+        pre_index.__dict__.update({
+            "gears": tuple(
+                Gear(np.float64(f), np.float64(v))
+                for f, v in zip(new.frequencies, new.voltages)
+            ),
+            "target_time": new.target_time,
+            "overclocked": tuple(np.bool_(x) for x in new.overclocked),
+            "attained": tuple(np.bool_(x) for x in new.attained),
+            "algorithm": new.algorithm,
+        })
+        old = copy.copy(cold)
+        old.assignment = pre_index
+        runner = make_runner(tmp_path / "warm")
+        with monkeypatch.context() as patch:
+            # the old class pickled its plain attribute dict
+            patch.delattr(FrequencyAssignment, "__getstate__")
+            runner.cache.put("report", runner._report_payload(
+                "CG-16", gear_set, algorithm, runner.config.beta
+            ), old)
+
+        report = runner.balance("CG-16", gear_set, algorithm)
+        assert (runner.cache.hits, runner.cache.corrupt) == (1, 0)
+        assert isinstance(report.assignment, FrequencyAssignment)
+        assert report.assignment == cold.assignment
+        assert json.dumps(report.to_json()) == json.dumps(cold.to_json())
+
     def test_cold_miss_is_not_counted_corrupt(self, tmp_path):
         cache = ResultCache(tmp_path)
         assert cache.get("report", {"k": 1}) is None

@@ -48,6 +48,23 @@ class _StubHandler(BaseHTTPRequestHandler):
         pass
 
 
+class _RejectingHandler(_StubHandler):
+    """Answers every other POST with an instant 429, like a full queue."""
+
+    def do_POST(self):  # noqa: N802 (stdlib handler naming)
+        with self.server.lock:  # type: ignore[attr-defined]
+            self.server.count += 1  # type: ignore[attr-defined]
+            reject = self.server.count % 2 == 0  # type: ignore[attr-defined]
+        if not reject:
+            return super().do_POST()
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        self.send_response(429)
+        self.send_header("Retry-After", "1")
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+        return None
+
+
 @pytest.fixture()
 def stub_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
@@ -153,6 +170,19 @@ class TestLoadReport:
         assert report.errors == 1
         assert report.statuses == {"200": 1, "0": 1}
 
+    def test_only_2xx_replies_count_as_served(self):
+        report = LoadReport(mode="closed", duration_s=2.0)
+        report.record(0.004, 200, "hit")
+        report.record(0.0001, 429, None)
+        report.record(0.0002, 503, None)
+        report.record(0.01, 0, None)
+        assert report.requests == 4
+        assert (report.ok, report.failed, report.errors) == (1, 3, 1)
+        assert report.throughput_rps == pytest.approx(0.5)
+        # the fast rejections never pull the latency sample down
+        assert report.percentile(0) == pytest.approx(4.0)
+        assert report.to_json()["failed"] == 3
+
     def test_render_mentions_the_headline_numbers(self):
         report = self._report([2.0, 4.0])
         text = report.render()
@@ -189,6 +219,29 @@ class TestDrivers:
         assert report.throughput_rps > 0
         apps = {body["app"] for body in stub_server.seen}
         assert apps == {"CG-8", "CG-16"}
+
+    def test_closed_loop_does_not_count_429_as_throughput(self):
+        server = ThreadingHTTPServer(("127.0.0.1", 0), _RejectingHandler)
+        server.seen, server.count = [], 0  # type: ignore[attr-defined]
+        server.lock = threading.Lock()  # type: ignore[attr-defined]
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            report = run_closed_loop(
+                _url(server), [{"app": "CG-8"}], concurrency=1,
+                duration_s=0.3,
+            )
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert report.statuses.get("429", 0) >= 1
+        assert report.failed == report.statuses["429"]
+        assert report.ok == report.statuses["200"] == len(server.seen)
+        assert report.throughput_rps == pytest.approx(
+            report.ok / report.duration_s
+        )
 
     def test_cli_json_output(self, stub_server, capsys):
         code = main([
