@@ -204,7 +204,7 @@ def test_assign_vs_per_rank_oracle_ratio_gate():
     got, want = vectorised(), per_rank()
     bad = [
         f"{alg.name}/{gs.name}"
-        for (alg, _t, gs), g, w in zip(cells, got, want)
+        for (alg, _t, gs), g, w in zip(cells, got, want, strict=True)
         if not matches(g, w)
     ]
     assert not bad, f"assign diverged from the per-rank oracle: {bad[:5]}"

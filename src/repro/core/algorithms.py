@@ -218,10 +218,11 @@ class FrequencyAssignment:
         Ranks on one table entry share its float objects, so a report's
         JSON form costs one list slot per rank, not one float each.
         """
-        return tuple(  # type: ignore[return-value]
+        frequencies, voltages = (
             np.array(values.tolist(), dtype=object)[self.index].tolist()
             for values in (self.table.frequencies, self.table.voltages)
         )
+        return frequencies, voltages
 
     @property
     def overclocked_fraction(self) -> float:
@@ -249,7 +250,9 @@ class FrequencyAssignment:
         return {
             "algorithm": self.algorithm,
             "target_time": float(self.target_time),
-            "gears": [list(pair) for pair in zip(*self.per_rank_lists())],
+            "gears": [
+                list(pair) for pair in zip(*self.per_rank_lists(), strict=True)
+            ],
             "overclocked": list(map(bool, self.overclocked)),
             "attained": list(map(bool, self.attained)),
         }

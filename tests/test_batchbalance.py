@@ -371,6 +371,7 @@ class TestRunEnergyMany:
                 Gear(f, v) for f, v in zip(
                     table.frequencies[rows].tolist(),
                     table.voltages[rows].tolist(),
+                    strict=True,
                 )
             ]
             one = acc.run_energy(compute[k], float(exec_t[k]), gears)

@@ -167,7 +167,7 @@ class TestCorruption:
         pre_index.__dict__.update({
             "gears": tuple(
                 Gear(np.float64(f), np.float64(v))
-                for f, v in zip(new.frequencies, new.voltages)
+                for f, v in zip(new.frequencies, new.voltages, strict=True)
             ),
             "target_time": new.target_time,
             "overclocked": tuple(np.bool_(x) for x in new.overclocked),
