@@ -236,6 +236,44 @@ def test_batch_kernel_ratio_gates():
     )
 
 
+#: ``compile_columnar_world`` over one scalar ``evaluate`` of the program
+#: it returns (paired median): compile runs in numpy rounds, one per
+#: dependency level, so it costs about one replay; a compile that walks
+#: the events one at a time costs ~10 replays and fails this gate
+COMPILE_VS_EVALUATE_MAX = 3.0
+
+
+def test_compile_vs_evaluate_ratio_gate():
+    """At 4096 ranks: compiling a world costs at most a few scalar
+    replays of it."""
+    nproc = RANKS[-1]
+    if nproc in _WORLDS:
+        trace = _WORLDS[nproc][0]
+    else:  # standalone invocation of just this test
+        app = build_app(f"{FAMILY}-{nproc}", iterations=ITERATIONS)
+        trace = app.columnar_trace()
+    model = BetaTimeModel(fmax=2.3)
+    freqs = _candidates(nproc)[0]
+    pairs = []
+    for _ in range(9):
+        start = time.perf_counter()
+        program = compile_columnar_world(trace, MYRINET_LIKE, model)
+        compiled = time.perf_counter() - start
+        pairs.append((compiled, _wall(lambda: program.evaluate(freqs))))
+    ratio = float(np.median([c / e for c, e in pairs]))
+    _REPORT["compile_vs_evaluate"] = {
+        "ranks": nproc,
+        "instructions": program.n_instructions,
+        "compile_s": round(min(c for c, _ in pairs), 4),
+        "evaluate_s": round(min(e for _, e in pairs), 4),
+        "ratio": round(ratio, 2),
+    }
+    assert ratio <= COMPILE_VS_EVALUATE_MAX, (
+        f"compile took {ratio:.2f}x one scalar evaluate of its program "
+        f"(median of {len(pairs)} pairs; gate {COMPILE_VS_EVALUATE_MAX}x)"
+    )
+
+
 # --------------------------------------------------------------------------
 # Out-of-core: the 100k-rank world that must NOT fit comfortably in RAM
 # --------------------------------------------------------------------------

@@ -139,9 +139,21 @@ def all_rules() -> tuple[Rule, ...]:
     return tuple(_REGISTRY[code] for code in sorted(_REGISTRY))
 
 
+#: (registry size, sorted rule codes per domain), rebuilt on a change.
+_domain_index: tuple[int, dict[str, tuple[str, ...]]] = (-1, {})
+
+
 def rules_for_domain(domain: str) -> tuple[Rule, ...]:
-    """The registered rules of one domain, sorted by code."""
-    return tuple(r for r in all_rules() if r.domain == domain)
+    """The registered rules of one domain, sorted by code (codes cached
+    per registry size, rules looked up per call so a replaced one runs)."""
+    global _domain_index
+    if _domain_index[0] != len(_REGISTRY):
+        rules = all_rules()
+        _domain_index = (len(_REGISTRY), {
+            name: tuple(r.code for r in rules if r.domain == name)
+            for name in DOMAINS
+        })
+    return tuple(_REGISTRY[code] for code in _domain_index[1].get(domain, ()))
 
 
 def get_rule(code: str) -> Rule:

@@ -6,24 +6,24 @@ though only compute-burst durations change between what-ifs.  This
 module separates *understanding the world* from *pricing an
 assignment*:
 
-* :func:`compile_world` runs an abstract interpretation of the rank
-  programs (a worklist over ranks, no virtual clock) and emits a flat
-  instruction tape in dependency order: compute bursts with their base
-  durations and β, point-to-point edges with pre-computed eager or
-  rendezvous wire costs, collective barriers with their analytic cost,
-  and wait joins resolved to the message slots they synchronise on.
+* :func:`compile_world` reads the world's columns once and emits a
+  flat instruction tape in two array steps, with no virtual clock:
+  (a) pair each channel's k-th send with its k-th receive by a stable
+  sort, and resolve every wait and collective statically; (b) run a
+  Kahn frontier over the resulting dependency graph in numpy rounds.
+  The tape — bursts with base durations and β, point-to-point edges
+  with wire costs, collective barriers with their cost, wait joins —
+  comes out grouped by round, and a round is a dependency level.
 * :class:`CompiledProgram.evaluate` replays the tape with plain float
   arithmetic (no event heap, no generators), one instruction at a time;
   it is the oracle the batch pass is tested against.
 * ``evaluate_many`` prices *K* assignments at once.  On its first call
-  it levels the tape: an instruction sits one level above its rank's
-  previous instruction and above the writers of the message slots it
-  reads, and a collective sits alone above everything before it.  Each
-  (level, opcode) group then runs as one numpy op over ``(ranks, K)``
-  lanes, so a 4096-rank tape of ~156k instructions takes ~40 steps —
-  which is what makes gear-set sweeps cheap.  The grouping only
-  reorders independent instructions, so every lane still sees the
-  scalar kernel's operations in the same order (bit-identical rows).
+  it groups each level of the tape by opcode; each group then runs as
+  one numpy op over ``(ranks, K)`` lanes, so a 4096-rank tape of ~156k
+  instructions takes ~40 steps — which is what makes gear-set sweeps
+  cheap.  A level holds only independent instructions, so every lane
+  still sees the scalar kernel's operations in the same order
+  (bit-identical rows).
 
 Equivalence guarantee
 ---------------------
@@ -50,12 +50,13 @@ interval / trace recording                 DES-only instrumentation
 =========================================  ==============================
 
 Structurally broken worlds (mismatched send/recv counts, request
-reuse, collective shape mismatch, cyclic blocking) raise
-:class:`CompileError`; ``engine="auto"`` falls back to the DES so the
-*authentic* runtime error (``DeadlockError``/``SimulationError``)
-surfaces.  :meth:`CompiledProgram.assert_equivalent` is the validation
-mode: it replays the same world through the DES and asserts exact
-agreement of makespan and per-rank compute/comm/end times.
+reuse or unknown requests, collective shape mismatch, cyclic blocking:
+named by the ranks the DES leaves blocked) raise :class:`CompileError`;
+``engine="auto"`` falls back to the DES so the *authentic* runtime error
+(``DeadlockError``/``SimulationError``) surfaces.
+:meth:`CompiledProgram.assert_equivalent` is the validation mode: it
+replays the same world through the DES and asserts exact agreement of
+makespan and per-rank compute/comm/end times.
 """
 
 from __future__ import annotations
@@ -122,91 +123,24 @@ _MARKER = 11        # (op, rank, label, iteration)
 _VAL_ARR = 0
 _VAL_RDV = 1
 
-#: Origin of an outstanding nonblocking request, packed into the low
-#: two bits of the requests-dict value (``mid << 2 | origin``).
-_REQ_ISE = 0   # eager isend: complete on post
-_REQ_ISR = 1   # rendezvous isend
-_REQ_IRE = 2   # eager irecv
-_REQ_IRR = 3   # rendezvous irecv
-
-#: Instructions between release_pages() hints while compiling a
-#: memory-mapped world.  The advance worklist touches every rank's
-#: column pages once per pass, so the resident window grows at the
-#: emit rate between hints — a short stride is what actually caps the
-#: compiler's RSS, and madvise() is cheap at this cadence (~125 calls
-#: per million instructions).
-_RELEASE_INTERVAL = 1 << 16
+#: Events per block when compile reads the columns: it reads a world
+#: once, whole ranks at a time, and releases each block's mapped column
+#: pages before the next, so about one block (46 B per event) is resident.
+_RELEASE_INTERVAL = 1 << 14
 
 #: Burst-axis block for chunked frequency sweeps (see
 #: ``CompiledProgram.evaluate_many``).  Deliberately much larger than
 #: the release stride: it bounds vectorised temporaries, not pages.
 _BURST_BLOCK = 1 << 20
 
-
-class _MsgArena:
-    """All pre-paired point-to-point messages, struct-of-arrays.
-
-    One logical message used to be a ``_Msg`` object (~100 B with its
-    GC header); at 100k-rank scale the million-plus messages of a
-    single world made the *compiler's* working set rival the columns
-    it was trying not to copy.  The arena stores the same five fields
-    as parallel flat arrays (~9 B per message) and a message is just an
-    index.  Messages of one channel are contiguous: channel ``cid``
-    owns indices ``[base[cid], base[cid] + count[cid])`` and the k-th
-    send on the channel pairs with the k-th recv, exactly as before.
-    """
-
-    __slots__ = ("eager", "slot", "sender_done", "sender_posted",
-                 "recv_posted")
-
-    def __init__(self) -> None:
-        self.eager = bytearray()          # 1 = eager, 0 = rendezvous
-        self.slot = array("i")            # index into wire_eager / wire_rdv
-        self.sender_done = bytearray()    # eager: wire arrival on the tape
-        self.sender_posted = bytearray()  # rendezvous: sp slot written
-        self.recv_posted = bytearray()    # rendezvous: rp slot written
-
-    def add(self, eager: bool, slot: int) -> None:
-        self.eager.append(1 if eager else 0)
-        self.slot.append(slot)
-        self.sender_done.append(0)
-        self.sender_posted.append(0)
-        self.recv_posted.append(0)
-
-
-class _Channels:
-    """Channel table from :func:`_scan_channels` (indices, not objects)."""
-
-    __slots__ = ("ids", "base", "count", "arena", "wire_eager", "wire_rdv")
-
-    def __init__(
-        self,
-        ids: dict[int, int],
-        base: array,
-        count: array,
-        arena: _MsgArena,
-        wire_eager: array,
-        wire_rdv: array,
-    ):
-        self.ids = ids            # encoded (src, dst, tag) -> cid
-        self.base = base          # cid -> first message index
-        self.count = count        # cid -> message count
-        self.arena = arena
-        self.wire_eager = wire_eager
-        self.wire_rdv = wire_rdv
-
-
-class _Coll:
-    """One collective instance, filled as ranks arrive at compile time."""
-
-    __slots__ = ("op", "root", "nbytes", "arrived", "emitted")
-
-    def __init__(self, op: str, root: int):
-        self.op = op
-        self.root = root
-        self.nbytes = 0
-        self.arrived = 0
-        self.emitted = False
+#: ``need`` of the sink and of events that are not nodes: never ready.
+_NEVER = 1 << 30
+#: Node ids must fit the int32 working arrays.
+_MAX_NODES = (1 << 31) - 1
+#: Request ids are biased into [0, 2**32) inside sort keys.
+_ID_BIAS = 1 << 31
+#: Hits per round up to which a plain loop beats numpy's per-call cost.
+_SMALL_ROUND = 32
 
 
 def _check_platform(platform: PlatformConfig) -> None:
@@ -221,186 +155,6 @@ def _check_platform(platform: PlatformConfig) -> None:
             "decomposed collectives emit timing-dependent point-to-point "
             "rounds; DES required"
         )
-
-
-#: Encoded channel keys: ``(src*nproc + dst) * 2**32 + (tag + 2**31)``.
-#: One small-int key per channel instead of a 3-tuple — the channel
-#: dict is the only per-channel Python structure the compiler keeps.
-_TAG_BIAS = 1 << 31
-_TAG_SPAN = 1 << 32
-
-
-def _enc_key(src: int, dst: int, tag: int, nproc: int) -> int:
-    return (src * nproc + dst) * _TAG_SPAN + (tag + _TAG_BIAS)
-
-
-def _scan_channels(
-    world: ColumnarTrace, platform: PlatformConfig
-) -> _Channels:
-    """Pair every p2p message and fix its protocol + wire cost.
-
-    With wildcards rejected, the DES matcher pairs the k-th send on a
-    (src, dst, tag) channel with the k-th recv posted for it — FIFO on
-    both sides — *provided* pairing cannot depend on timing.  That
-    holds when a channel speaks one protocol and eager arrivals cannot
-    overtake (non-decreasing sizes ⇒ non-decreasing wire times).
-
-    Zero-copy: reads the (possibly memory-mapped) columns through
-    per-rank views; the only per-event state kept is one flat
-    (channel-id, size) pair per send, later regrouped by a stable sort
-    — channel ids are assigned in first-send order, so grouped order
-    is exactly the old ``sends.items()`` insertion order and wire-slot
-    numbering is unchanged bit for bit.
-    """
-    nproc = world.nproc
-    offsets = world.offsets
-    kind_col = world.kind
-    peer_col = world.peer
-    tag_col = world.tag
-    size_col = world.size
-
-    chan_ids: dict[int, int] = {}
-    chan_src = array("i")
-    chan_dst = array("i")
-    chan_tag = array("i")
-    send_cid = array("q")   # per send, in global scan order
-    send_size = array("q")
-    recv_counts: dict[int, int] = {}
-
-    next_release = _RELEASE_INTERVAL
-    for rank in range(nproc):
-        lo, hi = int(offsets[rank]), int(offsets[rank + 1])
-        if hi >= next_release:
-            # keep the resident window of mapped column pages bounded
-            # even though the scan walks every rank front to back
-            world.release_pages()
-            next_release = hi + _RELEASE_INTERVAL
-        if lo == hi:
-            continue
-        kinds = kind_col[lo:hi]
-        p2p = np.flatnonzero((kinds >= K_SEND) & (kinds <= K_IRECV))
-        if p2p.size == 0:
-            continue
-        kk = kinds[p2p].tolist()
-        pp = peer_col[lo:hi][p2p].tolist()
-        tt = tag_col[lo:hi][p2p].tolist()
-        ss = size_col[lo:hi][p2p].tolist()
-        for k, peer, tag, nb in zip(kk, pp, tt, ss):
-            if k == K_SEND or k == K_ISEND:
-                if peer == rank:
-                    raise CompileError(f"rank {rank}: self-send")
-                enc = _enc_key(rank, peer, tag, nproc)
-                cid = chan_ids.get(enc)
-                if cid is None:
-                    cid = len(chan_ids)
-                    chan_ids[enc] = cid
-                    chan_src.append(rank)
-                    chan_dst.append(peer)
-                    chan_tag.append(tag)
-                send_cid.append(cid)
-                send_size.append(nb)
-            else:
-                if peer < 0 or tag < 0:
-                    raise UnsupportedWorldError(
-                        f"rank {rank}: ANY_SOURCE/ANY_TAG receive — matching "
-                        "depends on arrival order; DES required"
-                    )
-                if peer == rank:
-                    raise CompileError(f"rank {rank}: self-recv")
-                enc = _enc_key(peer, rank, tag, nproc)
-                recv_counts[enc] = recv_counts.get(enc, 0) + 1
-
-    nchan = len(chan_ids)
-    chan_nrecv = np.zeros(nchan, dtype=np.int64)
-    for enc, cnt in recv_counts.items():
-        cid = chan_ids.get(enc)
-        if cid is None:
-            src, rest = divmod(enc, _TAG_SPAN)
-            key = (src // nproc, src % nproc, rest - _TAG_BIAS)
-            raise CompileError(
-                f"channel {key}: {cnt} recv(s) but no sends"
-            )
-        chan_nrecv[cid] = cnt
-    del recv_counts
-
-    arena = _MsgArena()
-    wire_eager = array("d")
-    wire_rdv = array("d")
-    chan_base = array("q", bytes(8 * (nchan or 1)))[:nchan]
-    chan_count = array("i", bytes(4 * (nchan or 1)))[:nchan]
-    if nchan == 0:
-        return _Channels(chan_ids, chan_base, chan_count, arena,
-                         wire_eager, wire_rdv)
-
-    cids = np.frombuffer(send_cid, dtype=np.int64)
-    sizes_all = np.frombuffer(send_size, dtype=np.int64)
-    order = np.argsort(cids, kind="stable")
-    sorted_sizes = sizes_all[order]
-    counts = np.bincount(cids, minlength=nchan)
-    bases = np.zeros(nchan, dtype=np.int64)
-    np.cumsum(counts[:-1], out=bases[1:])
-    del cids, sizes_all, order, send_cid, send_size
-
-    def _key(cid: int) -> tuple[int, int, int]:
-        return (chan_src[cid], chan_dst[cid], chan_tag[cid])
-
-    threshold = platform.eager_threshold
-    eager_all = sorted_sizes <= threshold
-    n_eager = np.add.reduceat(eager_all, bases)
-    mixed = (n_eager > 0) & (n_eager < counts)
-    decreasing = np.zeros(nchan, dtype=bool)
-    if sorted_sizes.shape[0] > 1:
-        rep = np.repeat(np.arange(nchan, dtype=np.int64), counts)
-        pair_bad = (
-            (sorted_sizes[1:] < sorted_sizes[:-1]) & (rep[1:] == rep[:-1])
-        )
-        decreasing[rep[1:][pair_bad]] = True
-        decreasing &= n_eager == counts
-        del rep
-    mismatch = counts != chan_nrecv
-    bad = mismatch | mixed | decreasing
-    if bad.any():
-        cid = int(np.argmax(bad))
-        key = _key(cid)
-        if mismatch[cid]:
-            raise CompileError(
-                f"channel {key}: {int(counts[cid])} send(s) vs "
-                f"{int(chan_nrecv[cid])} recv(s)"
-            )
-        if mixed[cid]:
-            raise UnsupportedWorldError(
-                f"channel {key}: mixes eager and rendezvous messages — "
-                "matcher interleaving is timing-dependent; DES required"
-            )
-        raise UnsupportedWorldError(
-            f"channel {key}: eager sizes decrease in program order — "
-            "later messages could overtake; DES required"
-        )
-
-    transfer_time = platform.transfer_time
-    pos = 0
-    for cid in range(nchan):
-        chan_base[cid] = pos
-        cnt = int(counts[cid])
-        chan_count[cid] = cnt
-        src = chan_src[cid]
-        dst = chan_dst[cid]
-        # unbox per channel, not per world: a single world-sized
-        # tolist() boxes millions of ints whose allocator arenas stay
-        # resident long after the list dies
-        sizes_list = sorted_sizes[pos : pos + cnt].tolist()
-        eager_list = eager_all[pos : pos + cnt].tolist()
-        for nb, is_eager in zip(sizes_list, eager_list):
-            wire = transfer_time(nb, src, dst)
-            if is_eager:
-                arena.add(True, len(wire_eager))
-                wire_eager.append(wire)
-            else:
-                arena.add(False, len(wire_rdv))
-                wire_rdv.append(wire)
-        pos += cnt
-    return _Channels(chan_ids, chan_base, chan_count, arena,
-                     wire_eager, wire_rdv)
 
 
 def compile_world(
@@ -449,342 +203,626 @@ def compile_columnar_world(
     return _compile_columns(world, platform, time_model)
 
 
-def _compile_columns(
-    world: ColumnarTrace,
-    platform: PlatformConfig,
-    time_model: BetaTimeModel,
-) -> "CompiledProgram":
-    """The one compile core: columns in, instruction tape out."""
-    nproc = world.nproc
-    offsets = world.offsets.tolist()   # nproc+1 entries; never event-sized
-    kinds = world.kind
-    durations = world.duration
-    betas = world.beta
-    peers = world.peer
-    tags = world.tag
-    sizes_col = world.size
-    reqs = world.req
-    auxs = world.aux
-    labels = world.label
-    collops = world.collop
-    reqpool = world.reqpool
-    strings = world.strings
+def _new_pool(typecode: str, size: int) -> tuple[array, np.ndarray]:
+    """A zeroed ``array.array`` pool, as the scalar kernel walks it, and
+    a writable numpy view of it."""
+    pool = array(typecode, [0]) * size
+    dtype = {"d": np.float64, "i": np.int32, "q": np.int64}[typecode]
+    return pool, _pool_view(pool, dtype)
 
-    ch = _scan_channels(world, platform)
-    world.release_pages()  # scan touched every p2p column; drop the pages
-    chan_ids = ch.ids
-    chan_base = ch.base
-    chan_count = ch.count
-    msg_eager = ch.arena.eager
-    msg_slot = ch.arena.slot
-    sender_done = ch.arena.sender_done
-    sender_posted = ch.arena.sender_posted
-    recv_posted = ch.arena.recv_posted
-    nchan = len(chan_ids)
-    send_k = array("i", bytes(4 * nchan)) if nchan else array("i")
-    recv_k = array("i", bytes(4 * nchan)) if nchan else array("i")
 
-    # struct-of-arrays instruction tape (see CompiledProgram)
-    codes = bytearray()
-    arg1 = array("i")
-    arg2 = array("i")
-    wait_off = array("q", [0])
-    wait_kind = bytearray()
-    wait_slot = array("i")
-    marker_label: list[str] = []
-    marker_iter = array("i")
-    dur = array("d")
-    beta = array("d")
-    brank = array("i")
-    coll_costs = array("d")
-    colls: list[_Coll] = []
+def _pool(typecode: str, values: np.ndarray) -> array:
+    pool, view = _new_pool(typecode, values.shape[0])
+    view[:] = values
+    return pool
 
-    pos = offsets[:nproc]          # per-rank cursor (global event index)
-    ends = offsets[1:]
-    pending_rdv: list[int | None] = [None] * nproc   # message index
-    coll_idx = [0] * nproc
-    coll_counted = [False] * nproc
-    # Outstanding nonblocking requests in one flat dict for the whole
-    # world: key = req * nproc + rank (bijective over (req, rank)),
-    # value = mid << 2 | origin.  A dict per rank plus a tuple per
-    # entry keeps tens of MB of tiny objects live at 100k-rank scale.
-    requests: dict[int, int] = {}
-    outstanding = [0] * nproc
-    default_beta = time_model.beta
 
-    def _next_msg(cid: int, counters: array) -> int:
-        k = counters[cid]
-        counters[cid] = k + 1
-        return chan_base[cid] + k
+def _where32(mask: np.ndarray) -> np.ndarray:
+    """``np.flatnonzero(mask)`` as int32, built without an int64 copy."""
+    out = np.empty(int(np.count_nonzero(mask)), dtype=np.int32)
+    at = 0
+    for lo in range(0, mask.shape[0], _RELEASE_INTERVAL):
+        idx = np.flatnonzero(mask[lo:lo + _RELEASE_INTERVAL])
+        out[at:at + idx.shape[0]] = idx + lo
+        at += idx.shape[0]
+    return out
 
-    def _register(rank: int, req: int, entry: int) -> None:
-        key = req * nproc + rank
-        if key in requests:
-            raise CompileError(f"rank {rank}: request id {req} reused")
-        requests[key] = entry
-        outstanding[rank] += 1
 
-    def _req_ready(entry: int) -> bool:
-        origin = entry & 3
-        if origin == _REQ_ISE:
-            return True
-        mid = entry >> 2
-        if origin == _REQ_ISR:
-            return recv_posted[mid] != 0
-        if origin == _REQ_IRE:
-            return sender_done[mid] != 0
-        return sender_posted[mid] != 0  # _REQ_IRR
+def _first(mask: np.ndarray) -> int:
+    return int(np.argmax(mask))
 
-    def _req_val(entry: int) -> tuple[int, int] | None:
-        origin = entry & 3
-        if origin == _REQ_ISE:  # eager isend buffers: completes on post
-            return None
-        if origin == _REQ_IRE:
-            return (_VAL_ARR, msg_slot[entry >> 2])
-        return (_VAL_RDV, msg_slot[entry >> 2])
 
-    def _advance(rank: int) -> bool:
-        """Emit as many of this rank's instructions as dependencies allow."""
-        emitted = False
-        end = ends[rank]
-        while True:
-            blocked_mid = pending_rdv[rank]
-            if blocked_mid is not None:
-                if not recv_posted[blocked_mid]:
-                    return emitted
-                codes.append(_SEND_RDV_DONE)
-                arg1.append(rank)
-                arg2.append(msg_slot[blocked_mid])
-                pending_rdv[rank] = None
-                emitted = True
-            g = pos[rank]
-            if g >= end:
-                if outstanding[rank]:
-                    leftover = sorted(
-                        key // nproc for key in requests
-                        if key % nproc == rank
-                    )
-                    raise CompileError(
-                        f"rank {rank} finished with outstanding requests "
-                        f"{leftover}"
-                    )
-                return emitted
-            kind = kinds[g]
+class _Scan:
+    """The arrays :func:`_scan` reads out of the columns."""
 
-            if kind == K_COMPUTE:
-                codes.append(_COMPUTE)
-                arg1.append(rank)
-                arg2.append(len(dur))
-                dur.append(durations[g])
-                b = betas[g]
-                beta.append(default_beta if b != b else b)  # NaN ⇒ default
-                brank.append(rank)
 
-            elif kind == K_MARKER:
-                codes.append(_MARKER)
-                arg1.append(rank)
-                arg2.append(len(marker_iter))
-                marker_label.append(strings[labels[g]])
-                marker_iter.append(int(auxs[g]))
+def _scan(
+    world: ColumnarTrace, offsets: np.ndarray, default_beta: float
+) -> _Scan:
+    """Read the columns once, in whole-rank blocks, into compile arrays.
 
-            elif kind == K_SEND:
-                enc = _enc_key(rank, int(peers[g]), int(tags[g]), nproc)
-                mid = _next_msg(chan_ids[enc], send_k)
-                if msg_eager[mid]:
-                    codes.append(_SEND_EAGER)
-                    arg1.append(rank)
-                    arg2.append(msg_slot[mid])
-                    sender_done[mid] = 1
-                else:
-                    codes.append(_SEND_RDV_POST)
-                    arg1.append(rank)
-                    arg2.append(msg_slot[mid])
-                    sender_posted[mid] = 1
-                    pending_rdv[rank] = mid
-                    pos[rank] = g + 1
-                    emitted = True
-                    continue  # completion handled at the top of the loop
+    Per event: the tape opcode and second argument (``code``, ``arg``;
+    a point-to-point event keeps its record kind until :func:`_pair`).
+    Per send and per receive, in event order (``s_*``, ``r_*``): event,
+    channel key, whether it blocks, the wait event claiming its request
+    (-1 if blocking) and, for sends, the size.  Per wait-list entry, in
+    list order, the event that posted its request (``ref_post``; wait
+    ``w`` owns entries ``ref_off[w]`` on).  Per collective instance
+    (``inst`` rows): op code, root, largest size, entering ranks.
 
-            elif kind == K_ISEND:
-                enc = _enc_key(rank, int(peers[g]), int(tags[g]), nproc)
-                mid = _next_msg(chan_ids[enc], send_k)
-                if msg_eager[mid]:
-                    _register(rank, int(reqs[g]), mid << 2 | _REQ_ISE)
-                    codes.append(_SEND_EAGER)
-                    arg1.append(rank)
-                    arg2.append(msg_slot[mid])
-                    sender_done[mid] = 1
-                else:
-                    _register(rank, int(reqs[g]), mid << 2 | _REQ_ISR)
-                    codes.append(_ISEND_RDV)
-                    arg1.append(rank)
-                    arg2.append(msg_slot[mid])
-                    sender_posted[mid] = 1
+    A counting pass sizes every output first, so each block is written
+    in place: pieces joined at the end would leave freed heap that the
+    allocator keeps resident.  Raises at the first event no replay can
+    take (unknown kind, self- or out-of-range peer, wildcard receive)
+    and on broken request or collective discipline.
+    """
+    nproc, n = world.nproc, int(offsets[-1])
+    marks = np.arange(_RELEASE_INTERVAL, n, _RELEASE_INTERVAL)
+    edges = sorted({0, nproc, *np.searchsorted(offsets, marks).tolist()})
+    blocks = [(int(offsets[a]), int(offsets[b]), a, b)
+              for a, b in zip(edges[:-1], edges[1:], strict=True)]
+    tally = np.zeros(256, dtype=np.int64)
+    listed = tag_lo = tag_hi = 0
+    for lo, hi, _, _ in blocks:
+        kind = world.kind[lo:hi]
+        tally += np.bincount(kind.view(np.uint8), minlength=256)
+        listed += int(world.req[lo:hi][kind == K_WAITALL].sum())
+        tags = world.tag[lo:hi][(kind >= K_SEND) & (kind <= K_IRECV)]
+        if tags.size:
+            tag_lo = min(tag_lo, int(tags.min()))
+            tag_hi = max(tag_hi, int(tags.max()))
+        world.release_pages()
+    span = tag_hi - tag_lo + 1  # channel key: (src*nproc + dst)*span + tag
+    if n >= _MAX_NODES // 2 or nproc * nproc * span >= 1 << 62:
+        raise UnsupportedWorldError(
+            "world exceeds the compiled kernel's index range; DES required"
+        )
+    sc = _Scan()
+    sc.nproc, sc.span, sc.tag_lo = nproc, span, tag_lo
+    sc.code, sc.arg = np.empty(n, np.uint8), np.empty(n, np.int32)
+    sc.dur, dur = _new_pool("d", int(tally[K_COMPUTE]))
+    sc.beta, beta = _new_pool("d", int(tally[K_COMPUTE]))
+    sc.brank, brank = _new_pool("i", int(tally[K_COMPUTE]))
+    sc.marker_iter, marker_iter = _new_pool("i", int(tally[K_MARKER]))
+    sc.marker_label = []
+    for side, kinds in (("s", [K_SEND, K_ISEND]), ("r", [K_RECV, K_IRECV])):
+        size = int(tally[kinds].sum())
+        setattr(sc, side + "_ev", np.empty(size, np.int32))
+        setattr(sc, side + "_key", np.empty(size, np.int64))
+        setattr(sc, side + "_block", np.empty(size, bool))
+        setattr(sc, side + "_claim", np.full(size, -1, np.int32))
+    sc.s_size = np.empty(sc.s_ev.shape[0], np.int64)
+    sc.ref_post = np.empty(max(int(tally[K_WAIT]) + listed, 0), np.int32)
+    sc.ref_off = np.zeros(int(tally[K_WAIT] + tally[K_WAITALL]) + 1, np.int64)
+    sc.inst = np.zeros((0, 4), dtype=np.int64)
+    at = dict.fromkeys((_COMPUTE, _MARKER, _WAIT, "s", "r", "ref"), 0)
 
-            elif kind == K_RECV:
-                src, tag = int(peers[g]), int(tags[g])
-                enc = _enc_key(src, rank, tag, nproc)
-                cid = chan_ids.get(enc)
-                if cid is None or recv_k[cid] >= chan_count[cid]:
-                    key = (src, rank, tag)
-                    raise CompileError(f"channel {key}: recv without a send")
-                mid = _next_msg(cid, recv_k)
-                if msg_eager[mid]:
-                    if not sender_done[mid]:
-                        recv_k[cid] -= 1
-                        return emitted
-                    codes.append(_RECV_EAGER)
-                    arg1.append(rank)
-                    arg2.append(msg_slot[mid])
-                else:
-                    if not sender_posted[mid]:
-                        recv_k[cid] -= 1
-                        return emitted
-                    codes.append(_RECV_RDV)
-                    arg1.append(rank)
-                    arg2.append(msg_slot[mid])
-                    recv_posted[mid] = 1
+    def number(idx: np.ndarray, what: Any) -> slice:
+        """Give events ``idx`` the next indices of ``what``."""
+        first = at[what]
+        at[what] = first + idx.shape[0]
+        if what in (_COMPUTE, _MARKER, _WAIT):
+            sc.code[idx] = what
+            sc.arg[idx] = np.arange(first, at[what])
+        return slice(first, at[what])
 
-            elif kind == K_IRECV:
-                enc = _enc_key(int(peers[g]), rank, int(tags[g]), nproc)
-                mid = _next_msg(chan_ids[enc], recv_k)
-                if msg_eager[mid]:
-                    _register(rank, int(reqs[g]), mid << 2 | _REQ_IRE)
-                    codes.append(_IRECV_EAGER)
-                    arg1.append(rank)
-                    arg2.append(0)
-                else:
-                    _register(rank, int(reqs[g]), mid << 2 | _REQ_IRR)
-                    codes.append(_IRECV_RDV)
-                    arg1.append(rank)
-                    arg2.append(msg_slot[mid])
-                    recv_posted[mid] = 1
-
-            elif kind == K_WAIT or kind == K_WAITALL:
-                if kind == K_WAIT:
-                    ids: tuple[int, ...] = (int(reqs[g]),)
-                else:
-                    lo = int(auxs[g])
-                    ids = tuple(reqpool[lo : lo + int(reqs[g])].tolist())
-                entries = []
-                for req in ids:
-                    entry = requests.get(req * nproc + rank)
-                    if entry is None:
-                        raise CompileError(
-                            f"rank {rank}: wait on unknown request {req}"
-                        )
-                    entries.append(entry)
-                if not all(_req_ready(e) for e in entries):
-                    return emitted
-                codes.append(_WAIT)
-                arg1.append(rank)
-                arg2.append(len(wait_off) - 1)
-                for e in entries:
-                    v = _req_val(e)
-                    if v is not None:
-                        wait_kind.append(v[0])
-                        wait_slot.append(v[1])
-                wait_off.append(len(wait_slot))
-                for req in ids:
-                    del requests[req * nproc + rank]
-                outstanding[rank] -= len(ids)
-
-            elif kind == K_COLLECTIVE:
-                op_name = COLLECTIVE_OPS[collops[g]]
-                root = int(peers[g])
-                index = coll_idx[rank]
-                while index >= len(colls):
-                    colls.append(_Coll(op_name, root))
-                inst = colls[index]
-                if inst.op != op_name or inst.root != root:
-                    raise CompileError(
-                        f"collective mismatch at instance {index}: rank "
-                        f"{rank} calls {op_name}(root={root}) but earlier "
-                        f"ranks called {inst.op}(root={inst.root})"
-                    )
-                if not coll_counted[rank]:
-                    nb = int(sizes_col[g])
-                    if nb > inst.nbytes:
-                        inst.nbytes = nb
-                    inst.arrived += 1
-                    coll_counted[rank] = True
-                    if inst.arrived == nproc:
-                        try:
-                            cost = collective_time(
-                                inst.op, inst.nbytes, nproc, platform
-                            )
-                        except Exception as exc:
-                            raise CompileError(
-                                f"collective {inst.op}: {exc}"
-                            ) from None
-                        codes.append(_COLL)
-                        arg1.append(len(coll_costs))
-                        arg2.append(0)
-                        coll_costs.append(cost)
-                        inst.emitted = True
-                        emitted = True
-                if not inst.emitted:
-                    return emitted
-                coll_idx[rank] += 1
-                coll_counted[rank] = False
-                pos[rank] = g + 1
-                continue
-
-            else:
-                raise CompileError(
-                    f"rank {rank}: unknown record kind code {kind}"
+    for lo, hi, r0, r1 in blocks:
+        if lo == hi:
+            continue
+        kind, peer = np.array(world.kind[lo:hi]), np.array(world.peer[lo:hi])
+        tag = world.tag[lo:hi]
+        erank = np.repeat(np.arange(r0, r1, dtype=np.int32),
+                          np.diff(offsets[r0:r1 + 1]))
+        is_send = (kind == K_SEND) | (kind == K_ISEND)
+        is_recv = (kind == K_RECV) | (kind == K_IRECV)
+        wild = is_recv & ((peer < 0) | (tag < 0))
+        bad = (kind < K_COMPUTE) | (kind > K_MARKER) | wild | (
+            (is_send | is_recv) & ((peer < 0) | (peer >= nproc) | (peer == erank))
+        )
+        if bad.any():
+            i = _first(bad)
+            rank, p = int(erank[i]), int(peer[i])
+            side = "send" if is_send[i] else "recv"
+            if wild[i]:
+                raise UnsupportedWorldError(
+                    f"rank {rank}: ANY_SOURCE/ANY_TAG receive — matching "
+                    "depends on arrival order; DES required"
                 )
-
-            pos[rank] = g + 1
-            emitted = True
-
-    next_release = _RELEASE_INTERVAL
-    remaining = True
-    while remaining:
-        progress = False
-        remaining = False
-        for rank in range(nproc):
-            if _advance(rank):
-                progress = True
-            if pos[rank] < ends[rank] or pending_rdv[rank] is not None:
-                remaining = True
-            if len(codes) >= next_release:
-                # release inside the pass: a single worklist sweep can
-                # emit most of the world, so waiting for the pass
-                # boundary would let every column page go resident
-                world.release_pages()
-                next_release = len(codes) + _RELEASE_INTERVAL
-        if remaining and not progress:
-            stuck = [
-                r for r in range(nproc)
-                if pos[r] < ends[r] or pending_rdv[r] is not None
-            ]
             raise CompileError(
-                f"compile-time deadlock: ranks {stuck} cannot progress"
+                f"rank {rank}: unknown record kind code {kind[i]}"
+                if not (is_send[i] or is_recv[i])
+                else f"rank {rank}: self-{side}" if p == rank
+                else f"rank {rank}: {side} names rank {p} outside the world"
             )
 
-    world.release_pages()
+        idx = np.flatnonzero(kind == K_COMPUTE)
+        s = number(lo + idx, _COMPUTE)
+        dur[s] = world.duration[lo:hi][idx]
+        b = world.beta[lo:hi][idx]
+        beta[s] = np.where(np.isnan(b), default_beta, b)
+        brank[s] = erank[idx]
+        idx = np.flatnonzero(kind == K_MARKER)
+        marker_iter[number(lo + idx, _MARKER)] = world.aux[lo:hi][idx]
+        labels = world.label[lo:hi][idx].tolist()
+        sc.marker_label += [world.strings[i] for i in labels]
+        firsts = []
+        for mask, side, src, dst in ((is_send, "s", erank, peer),
+                                     (is_recv, "r", peer, erank)):
+            idx = np.flatnonzero(mask)
+            s = number(idx, side)
+            firsts.append((mask, s.start))
+            key = (src[idx].astype(np.int64) * nproc + dst[idx]) * span
+            getattr(sc, side + "_key")[s] = key + tag[idx] - tag_lo
+            getattr(sc, side + "_ev")[s] = lo + idx
+            getattr(sc, side + "_block")[s] = kind[idx] < K_ISEND  # send, recv
+            sc.code[lo + idx] = kind[idx]
+            if side == "s":
+                sc.s_size[s] = world.size[lo:hi][idx]
+        _resolve_requests(sc, world, lo, hi, kind, erank, at, firsts)
+        number(lo + np.flatnonzero((kind == K_WAIT) | (kind == K_WAITALL)), _WAIT)
+        _join_collectives(sc, world, lo, hi, kind, erank, peer)
+        world.release_pages()
+    np.cumsum(sc.ref_off, out=sc.ref_off)
+    return sc
+
+
+def _resolve_requests(
+    sc: _Scan, world: ColumnarTrace, lo: int, hi: int, kind: np.ndarray,
+    erank: np.ndarray, at: dict, firsts: list,
+) -> None:
+    """Pair the request posts of a rank block with the waits naming them.
+
+    Posts (isend/irecv) and wait-list entries are stable-sorted by
+    (rank, request id), which keeps program order within each id, so a
+    valid rank alternates post, entry, post, entry...  Anything else is
+    an entry naming no open request (the DES's "wait on unknown
+    request"), a request posted again while open, or one left open.
+    Writes the block's wait-list sizes, entries and claims at ``at``.
+    """
+    rq = np.flatnonzero((kind >= K_ISEND) & (kind <= K_WAITALL)).astype(np.int32)
+    ids = world.req[lo:hi][rq]
+    listed = kind[rq] == K_WAITALL
+    count = np.where(listed, ids, 1)
+    if (count < 0).any():
+        rank = int(erank[rq[_first(count < 0)]])
+        raise CompileError(f"rank {rank}: waitall lists a negative count")
+    is_wait = kind[rq] >= K_WAIT
+    w0 = at[_WAIT]
+    sc.ref_off[w0 + 1:w0 + 1 + int(is_wait.sum())] = count[is_wait]
+    item_ev, item_id = np.repeat(rq, count), np.repeat(ids, count)
+    if listed.any():  # waitall entries come from the request pool
+        pos = np.flatnonzero(np.repeat(listed, count))
+        first = (np.cumsum(count) - count)[listed]
+        pool_at = np.repeat(
+            world.aux[lo:hi][rq[listed]].astype(np.int64) - first, count[listed]
+        )
+        item_id[pos] = world.reqpool[pool_at + pos]
+    is_ref = np.repeat(is_wait, count)
+    key = (erank[item_ev] - erank[0]).astype(np.int64) << 32
+    order = np.argsort(key + item_id + _ID_BIAS, kind="stable")
+    key = key[order] + item_id[order]
+    ref = is_ref[order]
+    same = key[1:] == key[:-1]
+    paired = np.zeros(ref.shape[0], dtype=bool)
+    paired[1:] = ref[1:] & same & ~ref[:-1]
+    closed = np.zeros(ref.shape[0], dtype=bool)
+    closed[:-1] = paired[1:]
+    bad = np.flatnonzero(np.where(ref, ~paired, ~closed))
+    if bad.size:  # the earliest offending post or entry
+        i = int(bad[np.argmin(order[bad])])
+        rank, req = int(erank[item_ev[order[i]]]), int(item_id[order[i]])
+        if ref[i]:
+            raise CompileError(f"rank {rank}: wait on unknown request {req}")
+        if i + 1 < ref.shape[0] and same[i] and not ref[i + 1]:
+            raise CompileError(f"rank {rank}: request id {req} reused")
+        raise CompileError(f"rank {rank} finished with outstanding requests [{req}]")
+    posts = np.flatnonzero(~ref)
+    post_ev = item_ev[order[posts]]
+    wait_ev = item_ev[order[posts + 1]] + lo
+    post_of = np.empty(ref.shape[0], dtype=np.int32)
+    post_of[order[posts + 1]] = post_ev + lo
+    n_ref = int(is_ref.sum())
+    sc.ref_post[at["ref"]:at["ref"] + n_ref] = post_of[is_ref]
+    at["ref"] += n_ref
+    for (mask, start), claim in zip(firsts, (sc.s_claim, sc.r_claim), strict=True):
+        mine = mask[post_ev]
+        at_ = start + np.searchsorted(np.flatnonzero(mask), post_ev[mine])
+        claim[at_] = wait_ev[mine]
+
+
+def _join_collectives(
+    sc: _Scan, world: ColumnarTrace, lo: int, hi: int, kind: np.ndarray,
+    erank: np.ndarray, peer: np.ndarray,
+) -> None:
+    """The k-th collective of every rank joins instance k, whose op and
+    root its first caller fixes."""
+    idx = np.flatnonzero(kind == K_COLLECTIVE)
+    if not idx.size:
+        return
+    crank = erank[idx]
+    k = np.arange(idx.shape[0]) - np.searchsorted(crank, crank)
+    sc.code[lo + idx], sc.arg[lo + idx] = _COLL, k
+    op = world.collop[lo:hi][idx].astype(np.int64)
+    root = peer[idx].astype(np.int64)
+    order = np.argsort(k, kind="stable")
+    starts = np.flatnonzero(np.diff(k[order], prepend=-1))
+    group = k[order][starts]
+    new = starts[group >= sc.inst.shape[0]]
+    if new.size:
+        born = np.zeros((new.shape[0], 4), dtype=np.int64)
+        born[:, 0], born[:, 1] = op[order[new]], root[order[new]]
+        sc.inst = np.concatenate((sc.inst, born))
+    inst = sc.inst  # rows: op code, root, largest size, entering ranks
+    clash = (op != inst[k, 0]) | (root != inst[k, 1])
+    if clash.any():
+        i = _first(clash)
+        raise CompileError(
+            f"collective mismatch at instance {k[i]}: rank {crank[i]} calls "
+            f"{COLLECTIVE_OPS[op[i]]}(root={root[i]}) but earlier ranks "
+            f"called {COLLECTIVE_OPS[inst[k[i], 0]]}(root={inst[k[i], 1]})"
+        )
+    nbytes = world.size[lo:hi][idx].astype(np.int64)[order]
+    inst[group, 2] = np.maximum(inst[group, 2], np.maximum.reduceat(nbytes, starts))
+    inst[group, 3] += np.diff(starts, append=idx.shape[0])
+
+
+def _wire_times(
+    platform: PlatformConfig, nbytes: np.ndarray, src: np.ndarray, dst: np.ndarray
+) -> np.ndarray:
+    """``platform.transfer_time`` of every message, bit for bit: the base
+    platform's formula as array ops (same operands, same order), a
+    subclass's own cost model once per message."""
+    cls = type(platform)
+    if (cls.transfer_time is not PlatformConfig.transfer_time
+            or cls.node_of is not PlatformConfig.node_of):
+        return np.array([
+            platform.transfer_time(b, s, d) for b, s, d in zip(
+                nbytes.tolist(), src.tolist(), dst.tolist(), strict=True)
+        ], dtype=np.float64)
+    if (nbytes < 0).any():
+        bad = int(nbytes[_first(nbytes < 0)])
+        raise ValueError(f"nbytes must be >= 0, got {bad!r}")
+    cpn, speedup = platform.cpus_per_node, platform.intra_node_speedup
+    return np.where(
+        src // cpn == dst // cpn,
+        platform.latency / speedup + nbytes / (platform.bandwidth * speedup),
+        platform.latency + nbytes / platform.bandwidth,
+    )
+
+
+def _pair(sc: _Scan, platform: PlatformConfig) -> tuple[array, array]:
+    """Step (a): pair messages, fix protocols and price the wires.
+
+    With wildcards rejected, the DES matcher pairs the k-th send on a
+    (src, dst, tag) channel with the k-th receive posted for it — FIFO
+    on both sides — provided the channel speaks one protocol and its
+    eager sizes do not shrink (so arrivals cannot overtake).  A stable
+    sort of each side by channel key puts message ``m`` at position
+    ``m`` of both.  Sets every point-to-point event's opcode and slot,
+    and ``s_eager``/``s_partner``/``r_eager``/``r_partner``; returns the
+    eager and rendezvous wire pools.
+    """
+    nproc, span = sc.nproc, sc.span
+
+    def chan(key: int) -> tuple[int, int, int]:
+        pair, tag = divmod(int(key), span)
+        return (pair // nproc, pair % nproc, tag + sc.tag_lo)
+
+    perm_s = np.argsort(sc.s_key, kind="stable").astype(np.int32)
+    key, sc.s_key = sc.s_key[perm_s], None
+    perm_r = np.argsort(sc.r_key, kind="stable").astype(np.int32)
+    r_key, sc.r_key = sc.r_key[perm_r], None
+    if key.shape != r_key.shape or not np.array_equal(key, r_key):
+        chans, side = np.unique(np.concatenate((key, r_key)), return_inverse=True)
+        sends = np.bincount(side[:key.shape[0]], minlength=chans.shape[0])
+        recvs = np.bincount(side[key.shape[0]:], minlength=chans.shape[0])
+        i = _first(sends != recvs)
+        raise CompileError(
+            f"channel {chan(chans[i])}: {sends[i]} send(s) vs {recvs[i]} recv(s)"
+        )
+    del r_key
+    size = sc.s_size[perm_s]
+    sc.s_size = None
+    eager = size <= platform.eager_threshold
+    same = key[1:] == key[:-1]
+    mixed = same & (eager[1:] != eager[:-1])
+    shrink = same & eager[1:] & eager[:-1] & (size[1:] < size[:-1])
+    if mixed.any() or shrink.any():  # the first bad channel; mixing first
+        first = key[1 + _first(mixed | shrink)]
+        if mixed[key[1:] == first].any():
+            raise UnsupportedWorldError(
+                f"channel {chan(first)}: mixes eager and rendezvous messages "
+                "— matcher interleaving is timing-dependent; DES required"
+            )
+        raise UnsupportedWorldError(
+            f"channel {chan(first)}: eager sizes decrease in program order "
+            "— later messages could overtake; DES required"
+        )
+    del same, mixed, shrink
+    wire = np.empty(size.shape[0])
+    for lo in range(0, size.shape[0], _RELEASE_INTERVAL):
+        hi = lo + _RELEASE_INTERVAL
+        src, dst = np.divmod(key[lo:hi] // span, nproc)
+        wire[lo:hi] = _wire_times(platform, size[lo:hi], src, dst)
+    del key, size
+    wire_eager, wire_rdv = _pool("d", wire[eager]), _pool("d", wire[~eager])
+    del wire
+    slot = np.where(eager, np.cumsum(eager) - 1, np.cumsum(~eager) - 1)
+    slot = slot.astype(np.int32)
+    # message of each send and receive (event order), then its partner
+    msg = np.empty(perm_s.shape[0], dtype=np.int32)
+    msg[perm_s] = np.arange(msg.shape[0], dtype=np.int32)
+    sc.s_eager, sc.arg[sc.s_ev] = eager[msg], slot[msg]
+    sc.s_partner = sc.r_ev[perm_r[msg]]
+    msg[perm_r] = np.arange(msg.shape[0], dtype=np.int32)
+    sc.r_eager, sc.arg[sc.r_ev] = eager[msg], slot[msg]
+    sc.r_partner = sc.s_ev[perm_s[msg]]
+    del msg, perm_s, perm_r, eager, slot
+    sc.code[sc.s_ev] = np.where(
+        sc.s_eager, _SEND_EAGER, np.where(sc.s_block, _SEND_RDV_POST, _ISEND_RDV)
+    )
+    sc.code[sc.r_ev] = np.where(
+        sc.r_eager,
+        np.where(sc.r_block, _RECV_EAGER, _IRECV_EAGER),
+        np.where(sc.r_block, _RECV_RDV, _IRECV_RDV),
+    )
+    return wire_eager, wire_rdv
+
+
+def _collective_costs(sc: _Scan, platform: PlatformConfig) -> array:
+    """The analytic cost of every collective instance all ranks enter."""
+    costs = array("d")
+    for op_code, _, nbytes, ranks in sc.inst.tolist():
+        if ranks < sc.nproc:
+            break  # never completes: the frontier reports the deadlock
+        op = COLLECTIVE_OPS[op_code]
+        try:
+            costs.append(collective_time(op, nbytes, sc.nproc, platform))
+        except Exception as exc:
+            raise CompileError(f"collective {op}: {exc}") from None
+    return costs
+
+
+def _wait_joins(sc: _Scan) -> tuple[array, bytearray, array, np.ndarray]:
+    """The wait pools, each wait's joins in list order, and the number of
+    joins per wait.  Every wait-list entry but an eager isend's (complete
+    on post) joins one value: an eager irecv's arrival slot, or a
+    rendezvous message's ``max(sp, rp) + wire``."""
+    pcode = sc.code[sc.ref_post]
+    joins = pcode != _SEND_EAGER
+    keep = np.flatnonzero(joins)
+    kinds = np.where(pcode[keep] == _IRECV_EAGER, _VAL_ARR, _VAL_RDV)
+    wait_kind = bytearray(kinds.astype(np.uint8).tobytes())
+    wait_slot = _pool("i", sc.arg[sc.ref_post[keep]])
+    cum = np.zeros(joins.shape[0] + 1, dtype=np.int64)
+    np.cumsum(joins, out=cum[1:])
+    cum = cum[sc.ref_off]
+    sc.ref_post = sc.ref_off = None
+    return _pool("q", cum), wait_kind, wait_slot, np.diff(cum)
+
+
+def _graph(sc: _Scan, offsets: np.ndarray, n_joins: np.ndarray) -> tuple:
+    """The static dependency graph of step (b).
+
+    Nodes: the events that are instructions, a completion per blocking
+    rendezvous send (of send ``done_ev[j]``), a node per collective
+    instance (from ``inst_lo``), a sink.  ``need`` counts a node's
+    dependencies; ``adj`` holds its rank successor and the one node on
+    another rank it unblocks (the sink for none); instance k unblocks
+    ``inst_next[inst_off[k]:inst_off[k+1]]``.  ``free`` marks events
+    that are not nodes (markers, join-free waits); ``tail`` is each
+    rank's last node (-1 for none).
+    """
+    code, arg = sc.code, sc.arg
+    n = code.shape[0]
+    done_ev = sc.s_ev[sc.s_block & ~sc.s_eager]
+    inst_lo = n + done_ev.shape[0]
+    sink = inst_lo + sc.inst.shape[0]
+    if sink >= _MAX_NODES:
+        raise UnsupportedWorldError(
+            "world exceeds the compiled kernel's index range; DES required"
+        )
+    need = np.full(sink + 1, _NEVER, dtype=np.int32)
+    adj = np.full((sink + 1, 2), sink, dtype=np.int32)
+    # rank chains over instructions and collective entries; an entry
+    # stands for its instance, which waits for every rank's arrival (a
+    # rank without a k-th collective leaves instance k unemitted)
+    free = code == _MARKER
+    waits = np.flatnonzero(code == _WAIT)
+    free[waits[n_joins == 0]] = True
+    node = _where32(~free)
+    starts = np.searchsorted(node, offsets[:-1])
+    ends = np.searchsorted(node, offsets[1:])
+    has = starts < ends
+    entry = np.flatnonzero(code[node] == _COLL)
+    node[entry] = inst_lo + arg[node[entry]]
+    nxt = np.empty_like(node)
+    nxt[:-1] = node[1:]
+    nxt[ends[has] - 1] = sink
+    adj[node, 0] = nxt
+    need[node] = 1
+    need[node[starts[has]]] = 0
+    tail = np.full(offsets.shape[0] - 1, -1, dtype=np.int64)
+    tail[has] = node[ends[has] - 1]
+    order = entry[np.argsort(node[entry], kind="stable")]
+    inst_next = nxt[order]
+    inst_off = np.searchsorted(node[order], np.arange(inst_lo, sink + 1))
+    adj[inst_lo:sink] = sink
+    need[inst_lo:sink] = sc.nproc
+    if sink > inst_lo:
+        need[inst_lo] -= int(np.count_nonzero(node[starts[has]] >= inst_lo))
+    del node, nxt, entry, order, starts, ends, has
+    # a blocking rendezvous send completes once its receive is posted
+    done = np.arange(n, inst_lo, dtype=np.int32)
+    adj[done, 0] = adj[done_ev, 0]
+    adj[done_ev, 0] = done
+    need[done] = 2
+    posts = (tail >= 0) & (tail < n)
+    posts[posts] = code[tail[posts]] == _SEND_RDV_POST
+    tail[posts] = n + np.searchsorted(done_ev, tail[posts])
+    # cross-rank edges: a send unblocks the receive, or the wait on the
+    # irecv; a rendezvous receive post unblocks the send's completion,
+    # or the wait on the isend
+    need[sc.r_ev[sc.r_block]] += 1
+    need[waits] += n_joins.astype(np.int32)
+    recv = np.searchsorted(sc.r_ev, sc.s_partner)
+    adj[sc.s_ev, 1] = np.where(sc.r_block[recv], sc.s_partner, sc.r_claim[recv])
+    del recv
+    rdv = ~sc.r_eager
+    send = np.searchsorted(sc.s_ev, sc.r_partner[rdv])
+    target, blocking = sc.s_claim[send], sc.s_block[send]
+    target[blocking] = n + np.searchsorted(done_ev, sc.s_ev[send[blocking]])
+    adj[sc.r_ev[rdv], 1] = target
+    return need, adj, (inst_lo, inst_off, inst_next), done_ev, free, tail
+
+
+def _compile_columns(
+    world: ColumnarTrace, platform: PlatformConfig, time_model: BetaTimeModel
+) -> "CompiledProgram":
+    """The one compile core: columns in, instruction tape out.
+
+    Step (a) reads the columns once (:func:`_scan`), pairs messages
+    (:func:`_pair`) and resolves every wait to the slots it joins; that
+    fixes the dependency graph (:func:`_graph`).  Step (b) runs a Kahn
+    frontier over it (:func:`_rounds`), and the tape is laid out round by
+    round (:func:`_layout`): a round is a level of ``evaluate_many``.
+    """
+    offsets = np.array(world.offsets, dtype=np.int64)  # a private copy
+    sc = _scan(world, offsets, time_model.beta)
+    wire_eager, wire_rdv = _pair(sc, platform)
+    costs = _collective_costs(sc, platform)
+    wait_off, wait_kind, wait_slot, n_joins = _wait_joins(sc)
+    need, adj, insts, done_ev, free, tail = _graph(sc, offsets, n_joins)
+    code, arg = sc.code, sc.arg
+    pools = dict(marker_label=sc.marker_label, marker_iter=sc.marker_iter,
+                 dur=sc.dur, beta=sc.beta, brank=sc.brank)
+    del sc, n_joins  # the per-message arrays are spent
+    rounds = _rounds(need, adj, *insts)
+    del adj  # and so are the edges
+    stuck = np.flatnonzero(tail >= 0)
+    stuck = stuck[need[tail[stuck]] != 0]
+    if stuck.size:
+        raise CompileError(
+            f"compile-time deadlock: ranks {stuck.tolist()} cannot progress"
+        )
+    levels, codes, arg1, arg2 = _layout(
+        rounds, need, code, arg, offsets, free, done_ev, insts[0]
+    )
     add_engine_stats(compiled_compiles=1)
     return CompiledProgram(
-        nproc=nproc,
-        platform=platform,
-        time_model=time_model,
-        codes=codes,
-        arg1=arg1,
-        arg2=arg2,
-        wait_off=wait_off,
-        wait_kind=wait_kind,
-        wait_slot=wait_slot,
-        marker_label=marker_label,
-        marker_iter=marker_iter,
-        dur=dur,
-        beta=beta,
-        brank=brank,
-        wire_eager=ch.wire_eager,
-        wire_rdv=ch.wire_rdv,
-        coll_costs=coll_costs,
-        world=world,
+        world.nproc, platform, time_model, codes=codes, arg1=arg1, arg2=arg2,
+        wait_off=wait_off, wait_kind=wait_kind, wait_slot=wait_slot,
+        wire_eager=wire_eager, wire_rdv=wire_rdv, coll_costs=costs,
+        world=world, levels=levels, **pools,
     )
+
+
+def _rounds(
+    need: np.ndarray, adj: np.ndarray, inst_lo: int, inst_off: np.ndarray,
+    inst_next: np.ndarray,
+) -> list[np.ndarray]:
+    """Step (b): the Kahn frontier over :func:`_graph`, one round per level.
+
+    Emitting a node satisfies one dependency of each node in its ``adj``
+    row and, for a collective instance, of each rank's successor.  Round
+    r emits exactly the nodes whose count reached zero in round r-1, so
+    it touches only newly ready nodes.  Returns each round's nodes,
+    sorted; ``need`` ends at zero for every node emitted.
+    """
+    sink = need.shape[0] - 1
+    frontier = np.flatnonzero(need == 0).astype(np.int32)
+    rounds = []
+    while frontier.shape[0]:
+        rounds.append(frontier)
+        hit = adj[frontier].ravel()
+        if frontier[-1] >= inst_lo:
+            hit = np.concatenate([hit] + [
+                inst_next[inst_off[k]:inst_off[k + 1]]
+                for k in (frontier[frontier >= inst_lo] - inst_lo).tolist()
+            ])
+        need[sink] = _NEVER
+        if hit.shape[0] <= _SMALL_ROUND:  # a narrow round, e.g. a pipeline
+            ready = set()
+            for v in hit.tolist():
+                left = need[v] - 1
+                need[v] = left
+                if left == 0:
+                    ready.add(v)
+            frontier = np.array(sorted(ready), dtype=np.int32)
+        else:
+            hit.sort()
+            head = np.flatnonzero(np.diff(hit, prepend=-1))
+            nodes = hit[head]
+            need[nodes] -= np.diff(head, append=hit.shape[0]).astype(np.int32)
+            frontier = nodes[need[nodes] == 0]
+    return rounds
+
+
+def _layout(
+    rounds: list[np.ndarray], need: np.ndarray, code: np.ndarray,
+    arg: np.ndarray, offsets: np.ndarray, free: np.ndarray,
+    done_ev: np.ndarray, inst_lo: int,
+) -> tuple[np.ndarray, bytearray, array, array]:
+    """Write the tape level by level; returns the level bounds and tape.
+
+    Level r >= 1 holds round r's nodes, then the markers and join-free
+    waits that follow one of them (or a collective's entries) up to the
+    rank's next node, in event order; level 0 holds those that open a
+    rank.  Ranks keep program order, and level ``r`` is tape entries
+    ``[levels[r], levels[r+1])``.  Empties ``rounds``.
+    """
+    n = code.shape[0]
+    sizes = np.array([r.shape[0] for r in rounds], dtype=np.int64)
+    order = np.concatenate(rounds) if rounds else np.empty(0, np.int32)
+    rounds.clear()
+    level = need  # every node was emitted, so need is free to reuse
+    level[order] = np.repeat(np.arange(1, sizes.shape[0] + 1, dtype=np.int32), sizes)
+    # a marker or join-free wait takes the level of the node it follows
+    events, chain = _where32(free), _where32(~free)
+    at = np.searchsorted(chain, events) - 1
+    owner = chain[np.maximum(at, 0)] if chain.size else at
+    del chain
+    ev_rank = np.searchsorted(offsets, events, side="right") - 1
+    owned = (at >= 0) & (owner >= offsets[ev_rank])
+    prev = owner[owned]
+    pcode = code[prev]
+    prev[pcode == _COLL] = inst_lo + arg[prev[pcode == _COLL]]
+    post = pcode == _SEND_RDV_POST
+    prev[post] = n + np.searchsorted(done_ev, prev[post])
+    free_level = np.zeros(events.shape[0], dtype=np.int64)
+    free_level[owned] = level[prev]
+    del at, owner, owned, prev, pcode, post
+
+    real = np.concatenate(([0], sizes))
+    levels = np.zeros(real.shape[0] + 1, dtype=np.int64)
+    np.cumsum(real + np.bincount(free_level, minlength=real.shape[0]), out=levels[1:])
+    codes = bytearray(int(levels[-1]))
+    cv = np.frombuffer(codes, dtype=np.uint8)
+    arg1, a1 = _new_pool("i", len(codes))
+    arg2, a2 = _new_pool("i", len(codes))
+    # each level's nodes first, in round order
+    real_cum = np.cumsum(real)
+    shift = np.repeat((levels[1:-1] - real_cum[:-1]).astype(np.int32), sizes)
+    for lo in range(0, order.shape[0], _RELEASE_INTERVAL):
+        node = order[lo:lo + _RELEASE_INTERVAL]
+        p = shift[lo:lo + _RELEASE_INTERVAL]
+        p += np.arange(lo, lo + node.shape[0], dtype=np.int32)
+        ev = node.copy()  # the event behind each node
+        done = (node >= n) & (node < inst_lo)
+        ev[done] = done_ev[node[done] - n]
+        coll = node >= inst_lo
+        ev[coll] = 0
+        cv[p], a2[p] = code[ev], arg[ev]
+        a1[p] = np.searchsorted(offsets, ev, "right") - 1
+        cv[p[done]] = _SEND_RDV_DONE
+        cv[p[coll]], a1[p[coll]], a2[p[coll]] = _COLL, node[coll] - inst_lo, 0
+    del order, shift
+    # then the markers and join-free waits they own, in event order
+    by_level = np.argsort(free_level, kind="stable")
+    p = np.empty(events.shape[0], dtype=np.int64)
+    p[by_level] = np.arange(events.shape[0]) + real_cum[free_level[by_level]]
+    cv[p], a1[p], a2[p] = code[events], ev_rank, arg[events]
+    return levels, codes, arg1, arg2
 
 
 def _pool_view(arr: array | bytearray, dtype: Any) -> np.ndarray:
@@ -835,97 +873,36 @@ class _Schedule(NamedTuple):
 
 
 def _level_schedule(program: "CompiledProgram") -> _Schedule:
-    """Give every tape instruction a level and group the tape by it.
+    """Group the tape by (dependency level, opcode) for ``evaluate_many``.
 
-    An instruction's level is one more than the highest level of its
-    rank's previous instruction and of the instructions that wrote the
-    message slots it reads; a collective sits alone, one level above
-    everything before it, and everything after it sits above it.
+    Compile lays the tape out level by level (see
+    :func:`_compile_columns`): an instruction sits one level above its
+    rank's previous instruction and above the instructions that wrote
+    the message slots it reads; a collective sits alone, one level
+    above everything before it, and everything after it sits above it.
     ``_MARKER`` and zero-join ``_WAIT`` instructions change no state and
     are left out.  So within a level each rank appears once and every
     slot read was written at a lower level: a (level, opcode) group can
     run as one vectorised op, and each element still sees the IEEE
     operations of a sequential tape walk in the same per-rank order.
     """
-    nproc = program.nproc
-    woff, wkind, wslot = (
-        program._wait_off, program._wait_kind, program._wait_slot
-    )
-    n_rdv = len(program._wire_rdv)
-    rank_lev = [0] * nproc
-    arr_lev = array("i", bytes(4 * len(program._wire_eager)))
-    sp_lev = array("i", bytes(4 * n_rdv))
-    rp_lev = array("i", bytes(4 * n_rdv))
-    lev = array("i")
-    append = lev.append
-    # branches in order of frequency: this loop is the schedule's cost
-    for code, r, m in zip(program._codes, program._arg1, program._arg2):
-        if code == _COMPUTE or code == _IRECV_EAGER:
-            lv = rank_lev[r] + 1
-        elif code == _SEND_EAGER:
-            lv = arr_lev[m] = rank_lev[r] + 1
-        elif code == _WAIT:
-            lo, hi = woff[m], woff[m + 1]
-            if lo == hi:
-                append(-1)
-                continue
-            lv = rank_lev[r] + 1
-            for j in range(lo, hi):
-                s = wslot[j]
-                if wkind[j] == _VAL_ARR:
-                    w = arr_lev[s]
-                else:
-                    w = sp_lev[s]
-                    if rp_lev[s] > w:
-                        w = rp_lev[s]
-                if w >= lv:
-                    lv = w + 1
-        elif code == _RECV_EAGER:
-            lv = rank_lev[r] + 1
-            w = arr_lev[m]
-            if w >= lv:
-                lv = w + 1
-        elif code == _COLL:
-            # every rank's latest level is its highest so far
-            lv = max(rank_lev) + 1
-            rank_lev = [lv] * nproc
-            append(lv)
-            continue
-        elif code == _MARKER:
-            append(-1)
-            continue
-        else:
-            lv = rank_lev[r] + 1
-            if code == _SEND_RDV_POST or code == _ISEND_RDV:
-                sp_lev[m] = lv
-            elif code == _SEND_RDV_DONE:
-                w = sp_lev[m]
-                if rp_lev[m] > w:
-                    w = rp_lev[m]
-                if w >= lv:
-                    lv = w + 1
-            elif code == _RECV_RDV:
-                w = sp_lev[m]
-                if w >= lv:
-                    lv = w + 1
-                rp_lev[m] = lv
-            else:  # _IRECV_RDV
-                rp_lev[m] = lv
-        rank_lev[r] = lv
-        append(lv)
-    top = max(rank_lev)
-    del rank_lev, arr_lev, sp_lev, rp_lev, append
-
-    # group by (level, opcode); unscheduled instructions (level -1) get
-    # negative keys and sort first, and the stable sort keeps each
-    # group in tape order
+    levels = program._levels
+    n_levels = levels.shape[0] - 1
     codes = _pool_view(program._codes, np.uint8)
-    group_key = _pool_view(lev, np.int32).astype(
-        np.int32 if top < 1 << 26 else np.int64
+    group_key = np.repeat(
+        np.arange(n_levels, dtype=np.int32 if n_levels < 1 << 26 else np.int64),
+        np.diff(levels),
     )
-    del lev
     group_key <<= 4
     group_key += codes
+    # unscheduled instructions get negative keys and sort first, and
+    # the stable sort keeps each group in tape order
+    waits = np.flatnonzero(codes == _WAIT)
+    woff = _pool_view(program._wait_off, np.int64)
+    wid = _pool_view(program._arg2, np.int32)[waits]
+    group_key[codes == _MARKER] = -1
+    group_key[waits[woff[wid + 1] == woff[wid]]] = -1
+    del waits, wid
     order = np.argsort(group_key, kind="stable")
     order = order[np.count_nonzero(group_key < 0):]
     group_key = group_key[order]
@@ -971,15 +948,14 @@ def _level_schedule(program: "CompiledProgram") -> _Schedule:
     # wait joins: (group, join position, kind, wait-in-group) order
     wpos = np.flatnonzero(entry_code == _WAIT)
     del entry_code
-    offs = _pool_view(woff, np.int64)
     wid = arg[wpos]
-    jlo = offs[wid]
-    nj = offs[wid + 1] - jlo
+    jlo = woff[wid]
+    nj = woff[wid + 1] - jlo
     owner = np.repeat(np.arange(wpos.shape[0]), nj)
     position = np.arange(owner.shape[0]) - np.repeat(np.cumsum(nj) - nj, nj)
     join = jlo[owner] + position
-    jkind = _pool_view(wkind, np.uint8)[join]
-    jslot = _pool_view(wslot, np.int32)[join]
+    jkind = _pool_view(program._wait_kind, np.uint8)[join]
+    jslot = _pool_view(program._wait_slot, np.int32)[join]
     eager = jkind == _VAL_ARR
     jslot[eager] = arr_row[jslot[eager]]
     del arr_row, eager
@@ -1035,7 +1011,8 @@ class CompiledProgram:
     arguments per instruction (~9 B), with wait join lists, marker
     payloads and burst constants in flat side pools — the tuple tape it
     replaced cost ~20× that in boxed objects, which mattered once
-    100k-rank worlds stopped paying for column copies.
+    100k-rank worlds stopped paying for column copies.  Compile lays
+    the tape out by dependency level; ``_levels`` holds the bounds.
     """
 
     def __init__(
@@ -1058,6 +1035,7 @@ class CompiledProgram:
         wire_rdv: array,
         coll_costs: array,
         world: ColumnarTrace,
+        levels: np.ndarray,
     ):
         self.nproc = nproc
         self.platform = platform
@@ -1077,6 +1055,8 @@ class CompiledProgram:
         self._wire_rdv = wire_rdv
         self._coll_costs = coll_costs
         self._world = world
+        #: tape entries [levels[r], levels[r+1]) form dependency level r
+        self._levels = levels
         # numpy constant pools for the batch VM (views, not copies)
         self._np_dur = _pool_view(dur, float)
         self._np_beta = _pool_view(beta, float)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -38,10 +39,16 @@ from repro.netsim.enginestats import (
 )
 from repro.netsim.platform import MYRINET_LIKE
 from repro.netsim.simulator import MpiSimulator
-from repro.simx.errors import DeadlockError
+from repro.simx.errors import DeadlockError, SimulationError
 from repro.traces.columnar import ColumnarTrace
 
-from tests.worlds import RENDEZVOUS, valid_worlds
+from tests.worlds import (
+    RENDEZVOUS,
+    des_blocked_ranks,
+    valid_worlds,
+    wavefront,
+    wavefront_worlds,
+)
 
 MODEL = BetaTimeModel(fmax=2.3)
 
@@ -247,6 +254,56 @@ def _assert_bit_equal(got, want):
         assert got[key].tobytes() == value.tobytes(), key
 
 
+#: Worlds of the differential tests: random interleavings, some of
+#: them deadlocked, and deep pipelines with a few instructions per level.
+GENERATED_WORLDS = st.one_of(valid_worlds(), wavefront_worlds())
+
+
+def _deadlocked_ranks(exc):
+    """The ranks a compile-time deadlock error names."""
+    found = re.search(r"ranks \[([\d, ]*)\]", str(exc))
+    assert found, f"not a deadlock report: {exc}"
+    return {int(r) for r in found.group(1).split(",") if r.strip()}
+
+
+class TestCompileVerdictAgainstDes:
+    """Compile rejects a world exactly when the DES deadlocks on it,
+    naming the ranks the DES leaves blocked; otherwise the compiled
+    replay is the DES's, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "platform", [MYRINET_LIKE, RENDEZVOUS], ids=["default", "rendezvous"]
+    )
+    @settings(max_examples=80, deadline=None)
+    @given(streams=GENERATED_WORLDS, data=st.data())
+    def test_generated_worlds(self, platform, streams, data):
+        blocked = des_blocked_ranks(streams, platform)
+        try:
+            program = compile_world(streams, platform, MODEL)
+        except CompileError as exc:
+            event("deadlocked")
+            assert blocked, f"compile rejected a world the DES runs: {exc}"
+            assert _deadlocked_ranks(exc) == blocked
+            return
+        event("completed")
+        assert not blocked, f"compiled a world the DES deadlocks on {blocked}"
+        freqs = data.draw(st.lists(
+            st.floats(0.8, 2.3), min_size=len(streams), max_size=len(streams)
+        ))
+        des = MpiSimulator(platform, MODEL).run(streams, frequencies=freqs)
+        _assert_identical(des, program.evaluate(freqs))
+
+    def test_deep_wavefront(self):
+        # an eager sweep out and a rendezvous sweep back: about six
+        # levels per rank, none holding more than two instructions
+        streams = wavefront(256, [64, RENDEZVOUS.eager_threshold + 1])
+        program = compile_world(streams, RENDEZVOUS, MODEL)
+        des = MpiSimulator(RENDEZVOUS, MODEL).run(streams)
+        _assert_identical(des, program.evaluate())
+        assert program._levels.shape[0] - 1 > 5 * 256
+        assert np.diff(program._levels).max() <= 2
+
+
 class TestLevelScheduleDifferential:
     """Every batch row is the scalar kernel's row, bit for bit."""
 
@@ -254,7 +311,7 @@ class TestLevelScheduleDifferential:
         "platform", [MYRINET_LIKE, RENDEZVOUS], ids=["default", "rendezvous"]
     )
     @settings(max_examples=60, deadline=None)
-    @given(streams=valid_worlds(), data=st.data())
+    @given(streams=GENERATED_WORLDS, data=st.data())
     def test_generated_worlds(self, platform, streams, data):
         try:
             program = compile_world(streams, platform, MODEL)
@@ -591,6 +648,23 @@ class TestCapabilityChecks:
         ]
         with pytest.raises(CompileError, match="deadlock|stuck"):
             compile_world(programs, MYRINET_LIKE, MODEL)
+
+    @pytest.mark.parametrize(
+        "nbytes", [64, 500_000], ids=["eager", "rendezvous"]
+    )
+    def test_waitall_naming_a_request_twice(self, nbytes):
+        programs = [
+            [vmpi.isend(1, nbytes, request=1), vmpi.waitall((1, 1))],
+            [vmpi.irecv(src=0, tag=0, request=1), vmpi.wait(1)],
+        ]
+        with pytest.raises(CompileError, match="unknown request 1"):
+            compile_world(programs, MYRINET_LIKE, MODEL)
+        # auto falls back, and the DES owns the authentic error
+        engine = make_engine("auto", MYRINET_LIKE, MODEL)
+        with pytest.raises(
+            SimulationError, match="rank 0: wait on unknown request 1"
+        ):
+            engine.run(programs)
 
     def test_auto_falls_back_to_des_on_deadlock(self):
         # The DES must own the authentic error, not CompileError.

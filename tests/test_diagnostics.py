@@ -69,6 +69,23 @@ class TestRegistry:
             assert rule.summary
             assert isinstance(rule.severity, Severity)
 
+    def test_domain_lookup_matches_the_registry(self, monkeypatch):
+        from repro.diagnostics import registry as reg
+
+        def by_scan(domain):
+            return tuple(r for r in all_rules() if r.domain == domain)
+
+        for domain in reg.DOMAINS:
+            assert reg.rules_for_domain(domain) == by_scan(domain)
+        # a rule registered later joins its domain in code order
+        extra = dataclasses.replace(reg._REGISTRY["TR001"], code="TR0015")
+        monkeypatch.setitem(reg._REGISTRY, "TR0015", extra)
+        traces = reg.rules_for_domain("traces")
+        assert traces == by_scan("traces")
+        assert [r.code for r in traces][:3] == ["TR001", "TR0015", "TR002"]
+        monkeypatch.undo()
+        assert reg.rules_for_domain("traces") == by_scan("traces")
+
     def test_selection_prefixes(self):
         assert is_selected("TR008", select=("TR",))
         assert is_selected("TR008", select=("TR008",))

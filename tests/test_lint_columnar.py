@@ -19,8 +19,6 @@ ranks, and poisoned accessors prove the lint path never materialises a
 record object.
 """
 
-import re
-
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -30,8 +28,7 @@ from repro.diagnostics.engine import LintConfig, lint_trace_subject
 from repro.diagnostics.model import Severity
 from repro.diagnostics.traceview import ColumnarTraceView
 from repro.netsim.platform import MYRINET_LIKE
-from repro.netsim.simulator import MpiSimulator
-from repro.simx.errors import DeadlockError, SimulationError
+from repro.simx.errors import SimulationError
 from repro.traces.columnar import (
     ColumnarRankView,
     ColumnarTrace,
@@ -49,7 +46,7 @@ from repro.traces.records import (
 )
 
 from tests.test_columnar import NPROC, record_trace, stream_records
-from tests.worlds import BIG, RENDEZVOUS, valid_worlds
+from tests.worlds import BIG, RENDEZVOUS, des_blocked_ranks, valid_worlds
 
 
 CONFIG = LintConfig()
@@ -195,19 +192,6 @@ class TestIdentityProperty:
         trace = record_trace(streams)
         assert_views_agree(trace, RENDEZVOUS)
         assert_lints_cleanly(trace, RENDEZVOUS)
-
-
-def des_blocked_ranks(streams, platform):
-    """Ranks the DES leaves blocked (empty when the run completes)."""
-    try:
-        MpiSimulator(platform).run(streams)
-    except DeadlockError as exc:
-        return {
-            int(m.group(1))
-            for line in exc.blocked
-            if (m := re.match(r"rank(\d+) waiting", line))
-        }
-    return set()
 
 
 class TestDeadlockAgainstDes:

@@ -1,18 +1,23 @@
 """Generated worlds shared by the differential tests.
 
-:func:`valid_worlds` draws small, structurally valid MPI worlds; the
-static deadlock replay (``tests/test_lint_columnar.py``) and the
-compiled kernel's level-scheduled batch pass (``tests/test_compiled.py``)
-are both checked against their oracles over it, on the default
-platform and on :data:`RENDEZVOUS`.
+:func:`valid_worlds` draws small, structurally valid MPI worlds and
+:func:`wavefront_worlds` pipelined chains through every rank.  The
+static deadlock replay (``tests/test_lint_columnar.py``), the compiled
+kernel's compile-time verdict and its level-scheduled batch pass
+(``tests/test_compiled.py``) are checked against their oracles over
+them, on the default platform and on :data:`RENDEZVOUS`;
+:func:`des_blocked_ranks` is the DES's verdict.
 """
 
 import dataclasses
+import re
 
 from hypothesis import strategies as st
 
 from repro.apps import vmpi
 from repro.netsim.platform import MYRINET_LIKE
+from repro.netsim.simulator import MpiSimulator
+from repro.simx.errors import DeadlockError
 from repro.traces.records import CollectiveRecord
 
 #: Tiny eager threshold: most fuzzed sends go rendezvous, exercising
@@ -84,3 +89,52 @@ def valid_worlds(draw):
         [rec for _, rec in sorted(ranked, key=lambda kr: kr[0])]
         for ranked in items
     ]
+
+
+def wavefront(nproc, sizes, compute=0.001):
+    """A blocking pipeline through every rank, one sweep per size.
+
+    Sweep ``s`` runs rank 0 → ``nproc - 1`` when ``s`` is even and back
+    when it is odd: each rank receives from its upstream neighbour,
+    computes, then sends ``sizes[s]`` bytes downstream with a blocking
+    send (eager or rendezvous by size) on tag ``s``.  A rank's sweep
+    cannot start before its upstream neighbour's has passed, so the
+    world has about three dependency levels per rank and sweep while
+    each level holds only a few instructions — the narrowest rounds a
+    level-synchronous compile meets.
+    """
+    streams = [[] for _ in range(nproc)]
+    for s, nbytes in enumerate(sizes):
+        order = range(nproc) if s % 2 == 0 else range(nproc - 1, -1, -1)
+        chain = list(order)
+        for i, rank in enumerate(chain):
+            if i > 0:
+                streams[rank].append(vmpi.recv(src=chain[i - 1], tag=s))
+            streams[rank].append(vmpi.compute(compute * (1 + rank % 3)))
+            if i < nproc - 1:
+                streams[rank].append(vmpi.send(chain[i + 1], nbytes, tag=s))
+    return streams
+
+
+@st.composite
+def wavefront_worlds(draw):
+    """:func:`wavefront` worlds: 2-6 ranks, 1-3 sweeps, each sweep
+    eager or rendezvous on the default platform (all but the 8-byte
+    ones rendezvous on :data:`RENDEZVOUS`)."""
+    nproc = draw(st.integers(2, 6))
+    sizes = draw(st.lists(st.sampled_from([8, 256, BIG]), min_size=1,
+                          max_size=3))
+    return wavefront(nproc, sizes)
+
+
+def des_blocked_ranks(streams, platform):
+    """Ranks the DES leaves blocked (empty when the run completes)."""
+    try:
+        MpiSimulator(platform).run(streams)
+    except DeadlockError as exc:
+        return {
+            int(m.group(1))
+            for line in exc.blocked
+            if (m := re.match(r"rank(\d+) waiting", line))
+        }
+    return set()
