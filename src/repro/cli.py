@@ -6,7 +6,7 @@
     repro run fig2 [--csv f.csv]        # regenerate a table/figure
     repro reproduce-all --out results --jobs 4   # parallel campaign
     repro balance BT-MZ-32 --gears uniform:6 --algorithm max
-    repro trace CG-32 -o cg32.jsonl     # record a skeleton trace
+    repro trace record CG-32 -o cg32.jsonl   # record a skeleton trace
     repro timeline BT-MZ-32             # ASCII Fig.1-style timeline
     repro lint --format sarif           # static analysis (see docs/diagnostics.md)
     repro serve --port 8080 --workers 2 # simulation service (docs/service.md)
@@ -493,21 +493,7 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     return 0
 
 
-#: ``repro trace`` subcommands; a first token outside this set keeps
-#: the historical ``repro trace APP`` spelling working (it becomes
-#: ``repro trace record APP``).
-_TRACE_SUBCOMMANDS = frozenset({"record", "pack", "info"})
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if (
-        len(argv) >= 2
-        and argv[0] == "trace"
-        and argv[1] not in _TRACE_SUBCOMMANDS
-        and argv[1] not in ("-h", "--help")
-    ):
-        argv.insert(1, "record")
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Power-aware DVFS load balancing of MPI applications "

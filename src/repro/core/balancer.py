@@ -22,13 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, NamedTuple, TYPE_CHECKING
 
+import numpy as np
+
 from repro.core.algorithms import (
     FrequencyAlgorithm,
     FrequencyAssignment,
     MaxAlgorithm,
 )
 from repro.core.energy import EnergyAccountant, EnergyBreakdown
-from repro.core.gears import NOMINAL_FMAX, GearSet
+from repro.core.gears import NOMINAL_FMAX, GearSet, GearTable
 from repro.core.metrics import normalized
 from repro.core.power import CpuPowerModel
 from repro.core.timemodel import BetaTimeModel
@@ -234,9 +236,11 @@ def trace_baseline(
     original = nominal_replay(simulator, trace)
     comp = compute_times(trace)
     pe = float(comp.sum() / (comp.size * original.execution_time))
-    energy = accountant.run_energy(
-        original.compute_times, original.execution_time, [gear] * trace.nproc
-    )
+    # every rank at the nominal gear: entry 0 of a one-gear table
+    energy = accountant.run_energy_many(
+        original.compute_times[None, :], [original.execution_time],
+        [np.zeros(trace.nproc, dtype=np.intp)], [GearTable.of([gear])],
+    )[0]
     return Baseline(
         comp, load_balance_from_times(comp), pe, original, energy, gear
     )

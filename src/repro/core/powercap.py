@@ -62,6 +62,7 @@ from repro.core.balancer import BalanceReport
 from repro.core.gears import NOMINAL_FMAX, DiscreteGearSet, Gear, GearSet
 from repro.core.power import CpuPowerModel, CpuState
 from repro.core.timemodel import BetaTimeModel
+from repro.summation import left_to_right_sum
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.traces.columnar import ColumnarTrace
@@ -109,7 +110,9 @@ def modeled_peak_power(
 
     Summed left to right in rank order (determinism convention).
     """
-    return sum(power_model.power(g, CpuState.COMPUTE) for g in gears)
+    return left_to_right_sum(
+        power_model.power(g, CpuState.COMPUTE) for g in gears
+    )
 
 
 class PowerCapAlgorithm(FrequencyAlgorithm):
@@ -136,7 +139,7 @@ class PowerCapAlgorithm(FrequencyAlgorithm):
         """:func:`modeled_peak_power` from the assignment's gear table:
         the same per-gear floats, the same left-to-right sum."""
         p_compute = assignment.table.powers(self.power_model)[0]
-        return sum(p_compute[assignment.index].tolist())
+        return left_to_right_sum(p_compute[assignment.index].tolist())
 
     def screen(self, nproc: int, gear_set: GearSet) -> list[Any]:
         """The shared PC001–PC004 feasibility screen for this cap."""
@@ -204,9 +207,7 @@ class PowerCapAlgorithm(FrequencyAlgorithm):
             # level that only changes at per-rank gear thresholds, so
             # binary-search the sorted threshold list — ~log2(N*G)
             # cheap vectorised probes instead of a full float bisection
-            # (this is what keeps budget grids cheap to price).  The
-            # probe peak may differ from the exact left-to-right sum by
-            # an ulp; the final guard below re-checks exactly.
+            # (this is what keeps budget grids cheap to price).
             levels, probe_peak = grid
             feasible = len(levels) - 1  # the all-fmin end
             first_infeasible = -1  # below every threshold: the greedy
@@ -216,10 +217,21 @@ class PowerCapAlgorithm(FrequencyAlgorithm):
                     feasible = mid
                 else:
                     first_infeasible = mid
-            final = self._assign_to_target(
-                times, levels[feasible], gear_set, model,
-                nominal_fmax=model.fmax,
-            )
+            # The probe counts gears by their threshold times, while an
+            # assignment inverts Eq. 3 and rounds up with a slack, so at
+            # a threshold the two can pick different gears (and the
+            # probe's sum may differ by an ulp): emit the first level
+            # from the searched one up whose exact assignment fits.
+            tried = None
+            for level in levels[feasible:]:
+                if level == tried:  # a repeated threshold: same assignment
+                    continue
+                tried = level
+                final = self._assign_to_target(
+                    times, level, gear_set, model, nominal_fmax=model.fmax
+                )
+                if self._peak(final) <= self.cap:
+                    return final
         else:
             # continuous set: exact float bisection onto the boundary
             for _ in range(_MAX_BISECTIONS):
@@ -236,13 +248,13 @@ class PowerCapAlgorithm(FrequencyAlgorithm):
             final = self._assign_to_target(
                 times, hi, gear_set, model, nominal_fmax=model.fmax
             )
-        if self._peak(final) > self.cap:
-            # degenerate numerics: β ≈ 0 makes time frequency-blind, so
-            # every threshold rounds onto the greedy target and the
-            # search collapses to all-fmax.  The all-floor assignment
-            # is feasible whenever the PC002 screen passed — emit it.
-            final = self._floor_assignment(times, gear_set, hi)
-        return final
+            if self._peak(final) <= self.cap:
+                return final
+        # degenerate numerics: β ≈ 0 makes time frequency-blind, so
+        # every threshold rounds onto the greedy target and no searched
+        # assignment fits.  The all-floor assignment is feasible
+        # whenever the PC002 screen passed — emit it.
+        return self._floor_assignment(times, gear_set, hi)
 
     def _floor_assignment(
         self, times: Any, gear_set: GearSet, target: float

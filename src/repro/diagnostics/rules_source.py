@@ -12,8 +12,9 @@ code   severity  finding
 =====  ========  ========================================================
 DT001  ERROR     pairwise/compensated summation of report-affecting
                  floats (``np.sum``/``.sum()`` over durations,
-                 ``math.fsum``) where left-to-right ``sum()`` is the
-                 pinned convention
+                 ``math.fsum``) where the left-to-right fold
+                 (``repro.summation.left_to_right_sum``) is the pinned
+                 convention
 DT002  WARNING   iteration over an unordered ``set`` construct feeding
                  an accumulator (order is hash-dependent)
 DT003  ERROR     wall-clock or unseeded randomness in kernel code
@@ -25,10 +26,11 @@ DT004  ERROR     writable memory-mapped buffer in kernel code — mapped
 
 Conventions the rules encode (mirrored in ``docs/diagnostics.md``):
 
-* Durations are summed left-to-right (``sum(seg[mask].tolist())`` is the
-  columnar idiom) so the DES, the compiled kernel and the analyses agree
-  to the last bit;
-  ``np.sum`` pairwise-sums and ``math.fsum`` compensates — both produce
+* Durations are summed left-to-right
+  (``left_to_right_sum(seg[mask].tolist())`` is the columnar idiom) so
+  the DES, the compiled kernel and the analyses agree to the last bit;
+  ``np.sum`` pairwise-sums, ``math.fsum`` compensates, and so does
+  builtin ``sum()`` over floats from Python 3.12 — each produces
   different bits on the same data.
 * ``sorted(...)`` launders a set: iterating ``sorted(set(...))`` is
   deterministic and exempt.
@@ -168,8 +170,9 @@ def _is_set_construct(node: ast.expr) -> bool:
     severity=Severity.ERROR,
     domain="source",
     summary="non-left-to-right summation of report-affecting floats",
-    fix="use builtin sum() (left-to-right) over .tolist() — np.sum is "
-        "pairwise and math.fsum is compensated; both change the bits",
+    fix="use repro.summation.left_to_right_sum() over .tolist() — np.sum "
+        "is pairwise, math.fsum is compensated and builtin sum() "
+        "compensates floats from Python 3.12; each changes the bits",
 )
 def _dt001(ctx: SourceContext, make: Maker) -> Iterator[Diagnostic]:
     for node in ast.walk(ctx.tree):
@@ -179,7 +182,8 @@ def _dt001(ctx: SourceContext, make: Maker) -> Iterator[Diagnostic]:
         if resolved == "math.fsum":
             yield make(
                 "math.fsum is compensated summation: it produces "
-                "different bits than the pinned left-to-right sum()",
+                "different bits than the pinned left-to-right fold "
+                "(left_to_right_sum)",
                 subject=ctx.subject,
                 index=node.lineno,
             )
@@ -188,8 +192,8 @@ def _dt001(ctx: SourceContext, make: Maker) -> Iterator[Diagnostic]:
         if resolved == "numpy.sum" and duration_args:
             yield make(
                 "np.sum over durations is pairwise summation: it "
-                "disagrees with the pinned left-to-right sum() in the "
-                "last bits",
+                "disagrees with the pinned left-to-right fold "
+                "(left_to_right_sum) in the last bits",
                 subject=ctx.subject,
                 index=node.lineno,
             )
@@ -200,7 +204,8 @@ def _dt001(ctx: SourceContext, make: Maker) -> Iterator[Diagnostic]:
         ):
             yield make(
                 ".sum() over durations is pairwise summation: use "
-                "sum(x.tolist()) to keep the left-to-right convention",
+                "left_to_right_sum(x.tolist()) to keep the left-to-right "
+                "convention",
                 subject=ctx.subject,
                 index=node.lineno,
             )

@@ -14,16 +14,19 @@ assignment*:
   The tape — bursts with base durations and β, point-to-point edges
   with wire costs, collective barriers with their cost, wait joins —
   comes out grouped by round, and a round is a dependency level.
-* :class:`CompiledProgram.evaluate` replays the tape with plain float
-  arithmetic (no event heap, no generators), one instruction at a time;
-  it is the oracle the batch pass is tested against.
-* ``evaluate_many`` prices *K* assignments at once.  On its first call
-  it groups each level of the tape by opcode; each group then runs as
-  one numpy op over ``(ranks, K)`` lanes, so a 4096-rank tape of ~156k
-  instructions takes ~40 steps — which is what makes gear-set sweeps
-  cheap.  A level holds only independent instructions, so every lane
-  still sees the scalar kernel's operations in the same order
+* ``evaluate_many`` prices *K* assignments at once.  The program's
+  first pass groups each level of the tape by opcode; each group then
+  runs as one numpy op over ``(ranks, K)`` lanes, so a 4096-rank tape of
+  ~156k instructions takes ~40 levels — which is what makes gear-set
+  sweeps cheap.  A level holds only independent instructions, so every
+  lane still sees the scalar kernel's operations in the same order
   (bit-identical rows).
+* :class:`CompiledProgram.evaluate` prices one assignment.  A tape that
+  averages at least ``_SMALL_ROUND`` instructions per level runs the
+  same pass with one lane; a narrower one (a pipeline, a 32-rank world)
+  is walked one instruction at a time with plain float arithmetic (no
+  event heap, no generators).  That walk is the oracle the pass is
+  tested against.
 
 Equivalence guarantee
 ---------------------
@@ -139,7 +142,9 @@ _NEVER = 1 << 30
 _MAX_NODES = (1 << 31) - 1
 #: Request ids are biased into [0, 2**32) inside sort keys.
 _ID_BIAS = 1 << 31
-#: Hits per round up to which a plain loop beats numpy's per-call cost.
+#: Hits per round up to which a plain loop beats numpy's per-call cost;
+#: likewise the instructions per level below which ``evaluate`` walks
+#: the tape instead of running the level pass with one lane.
 _SMALL_ROUND = 32
 
 
@@ -855,6 +860,11 @@ class _Schedule(NamedTuple):
     which names its wire time) fills arrival row i, and the ``arg`` of
     a ``_RECV_EAGER`` entry and the ``join_slot`` of an eager join name
     that row.  Rendezvous slots keep their tape numbering.
+
+    Markers are not scheduled: a marker reads its rank's clock at the
+    end of its level.  ``marker_rank`` and ``marker_id`` list the tape's
+    markers in tape order, and the first ``marker_cut[g]`` of them sit
+    at levels below group ``g``'s.
     """
 
     level: np.ndarray
@@ -870,6 +880,9 @@ class _Schedule(NamedTuple):
     sel_at: np.ndarray
     join_sel: np.ndarray
     join_slot: np.ndarray
+    marker_rank: np.ndarray
+    marker_id: np.ndarray
+    marker_cut: np.ndarray
 
 
 def _level_schedule(program: "CompiledProgram") -> _Schedule:
@@ -900,7 +913,8 @@ def _level_schedule(program: "CompiledProgram") -> _Schedule:
     waits = np.flatnonzero(codes == _WAIT)
     woff = _pool_view(program._wait_off, np.int64)
     wid = _pool_view(program._arg2, np.int32)[waits]
-    group_key[codes == _MARKER] = -1
+    markers = np.flatnonzero(codes == _MARKER)
+    group_key[markers] = -1
     group_key[waits[woff[wid + 1] == woff[wid]]] = -1
     del waits, wid
     order = np.argsort(group_key, kind="stable")
@@ -978,8 +992,10 @@ def _level_schedule(program: "CompiledProgram") -> _Schedule:
     partial = seg_size != size[jgroup[seg_start]]
     sel_at = np.zeros(seg_start.shape[0] + 1, dtype=np.int32)
     np.cumsum(np.where(partial, seg_size, 0), out=sel_at[1:])
+    group_level = (group_key >> 4).astype(np.int32)
+    marker_level = np.searchsorted(levels, markers, side="right") - 1
     return _Schedule(
-        level=(group_key >> 4).astype(np.int32),
+        level=group_level,
         code=(group_key & 15).astype(np.uint8),
         bounds=bounds.astype(np.int32),
         run=run,
@@ -994,6 +1010,9 @@ def _level_schedule(program: "CompiledProgram") -> _Schedule:
         sel_at=sel_at,
         join_sel=jsel[perm][np.repeat(partial, seg_size)].astype(np.int32),
         join_slot=jslot[perm],
+        marker_rank=_pool_view(program._arg1, np.int32)[markers],
+        marker_id=_pool_view(program._arg2, np.int32)[markers],
+        marker_cut=np.searchsorted(marker_level, group_level).astype(np.int32),
     )
 
 
@@ -1002,10 +1021,12 @@ class CompiledProgram:
 
     ``evaluate`` prices one frequency vector bit-identically to the
     DES; ``evaluate_many`` prices a ``(K, nproc)`` batch in one
-    level-scheduled pass.  Programs are immutable and reusable across
-    any number of evaluations (the whole point); the only state added
-    later is the level schedule, built by the first ``evaluate_many``
-    and published with one attribute assignment.
+    level-scheduled pass, which ``evaluate`` also runs, with one lane,
+    on tapes averaging at least ``_SMALL_ROUND`` instructions per level
+    (narrower tapes keep the scalar walk).  Programs are immutable and
+    reusable across any number of evaluations (the whole point); the
+    only state added later is the level schedule, built by the first
+    pass and published with one attribute assignment.
 
     The tape is struct-of-arrays: one opcode byte plus two int32
     arguments per instruction (~9 B), with wait join lists, marker
@@ -1063,7 +1084,7 @@ class CompiledProgram:
         self._np_brank = _pool_view(brank, np.int32)
         self._np_wire_eager = _pool_view(wire_eager, float)
         self._np_wire_rdv = _pool_view(wire_rdv, float)
-        #: level schedule, built by the first evaluate_many
+        #: level schedule, built by the first level pass
         self._sched: _Schedule | None = None
 
     @property
@@ -1081,9 +1102,56 @@ class CompiledProgram:
         frequencies: Sequence[float] | float | None = None,
         meta: dict[str, Any] | None = None,
     ) -> RunResult:
-        """Price one assignment; returns a DES-identical RunResult."""
+        """Price one assignment; returns a DES-identical RunResult.
+
+        A tape that averages at least ``_SMALL_ROUND`` instructions per
+        dependency level runs the level pass of :meth:`evaluate_many`
+        with one lane, building or reusing the program's schedule; each
+        marker then reads its rank's clock at the end of its level.
+        Narrower tapes, whose levels are too small to amortise numpy's
+        per-call cost, are walked one instruction at a time
+        (:meth:`_walk`).  Both give the same bits.
+        """
         freqs = self._normalize(frequencies)
         start = perf_counter()
+        n_levels = self._levels.shape[0] - 1
+        if len(self._codes) >= _SMALL_ROUND * n_levels:
+            if freqs is None:
+                sdur = self._np_dur[:, None]
+            else:
+                sdur = self._scaled_durations(freqs[None, :])
+            t, comp, comm, marks = self._level_pass(sdur, markers=True)
+            end_times, comp, comm = t[:, 0], comp[:, 0], comm[:, 0]
+            markers = self._marker_lists(marks[:, 0])
+        else:
+            end_times, comp, comm, markers = self._walk(freqs)
+        elapsed = perf_counter() - start
+        add_engine_stats(
+            compiled_runs=1,
+            compiled_evaluations=1,
+            compiled_instructions=len(self._codes),
+            compiled_seconds=elapsed,
+        )
+        return RunResult(
+            execution_time=float(end_times.max(initial=0.0)),
+            compute_times=comp,
+            comm_times=comm,
+            end_times=end_times,
+            events=len(self._codes),
+            intervals=None,
+            markers=markers,
+            trace=None,
+            meta=meta or {},
+            engine="compiled",
+        )
+
+    def _walk(
+        self, freqs: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[Marker]]]:
+        """The scalar kernel: replay the tape one instruction at a time
+        with plain float arithmetic.  Returns the end, compute and comm
+        seconds per rank and each rank's markers; ``freqs`` is a
+        normalised frequency row, or ``None`` for nominal speed."""
         nproc = self.nproc
         if freqs is None:
             sdur: Sequence[float] = self._dur
@@ -1198,26 +1266,20 @@ class CompiledProgram:
                 mid = a2[i]
                 markers[r].append(Marker(t[r], mlabel[mid], miter[mid]))
 
-        end_times = np.array(t)
-        elapsed = perf_counter() - start
-        add_engine_stats(
-            compiled_runs=1,
-            compiled_evaluations=1,
-            compiled_instructions=len(codes),
-            compiled_seconds=elapsed,
-        )
-        return RunResult(
-            execution_time=float(end_times.max(initial=0.0)),
-            compute_times=np.array(comp),
-            comm_times=np.array(comm),
-            end_times=end_times,
-            events=len(codes),
-            intervals=None,
-            markers=markers,
-            trace=None,
-            meta=meta or {},
-            engine="compiled",
-        )
+        return np.array(t), np.array(comp), np.array(comm), markers
+
+    def _marker_lists(self, times: np.ndarray) -> list[list[Marker]]:
+        """Each rank's markers from their times, indexed by marker id.
+
+        Compile numbers markers in event order, so ids are rank-major
+        and each rank's ids are in its program order."""
+        made = list(map(
+            Marker, times.tolist(), self._marker_label, self._marker_iter
+        ))
+        ends = np.cumsum(
+            np.bincount(self._schedule().marker_rank, minlength=self.nproc)
+        ).tolist()
+        return [made[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
 
     # ------------------------------------------------------------------
     def evaluate_many(
@@ -1231,15 +1293,17 @@ class CompiledProgram:
         ``(K, nproc)`` (C-contiguous) — each row bit-identical to
         :meth:`evaluate` (markers are not materialised in batch mode).
 
-        The first call builds the program's level schedule (see
+        The first pass of a program (this or a wide-tape
+        :meth:`evaluate`) builds its level schedule (see
         :func:`_level_schedule`) and caches it on the program.  The pass
-        then keeps one row of K lanes per rank and per message slot and
-        runs each (level, opcode) group of the schedule as one
-        fancy-indexed numpy op — slices when the group's ranks are
-        consecutive.  Within a level every rank appears once and every
-        slot it reads was written at a lower level, so each lane gets
-        exactly the IEEE operations of a sequential tape walk, in the
-        same per-rank order, and a wait folds its joins in list order.
+        (:meth:`_level_pass`) then keeps one row of K lanes per rank and
+        per message slot and runs each (level, opcode) group of the
+        schedule as one fancy-indexed numpy op — slices when the group's
+        ranks are consecutive.  Within a level every rank appears once
+        and every slot it reads was written at a lower level, so each
+        lane gets exactly the IEEE operations of a sequential tape walk,
+        in the same per-rank order, and a wait folds its joins in list
+        order.
 
         ``burst_block`` bounds the duration-scaling *temporaries* to
         ``O(K × burst_block)`` by filling the scaled-duration pool in
@@ -1258,14 +1322,41 @@ class CompiledProgram:
         if not (np.isfinite(fmat) & (fmat > 0.0)).all():
             raise ValueError("frequencies must be positive and finite")
         start = perf_counter()
+        t, comp, comm, _ = self._level_pass(
+            self._scaled_durations(fmat, burst_block)
+        )
+        K = fmat.shape[0]
+        end = np.ascontiguousarray(t.T)
+        elapsed = perf_counter() - start
+        add_engine_stats(
+            compiled_runs=1,
+            compiled_evaluations=K,
+            compiled_instructions=len(self._codes) * K,
+            compiled_seconds=elapsed,
+        )
+        return {
+            "execution_time": end.max(axis=1),
+            "compute_times": np.ascontiguousarray(comp.T),
+            "comm_times": np.ascontiguousarray(comm.T),
+            "end_times": end,
+        }
+
+    def _schedule(self) -> _Schedule:
+        """The level schedule, built by the program's first pass."""
         sched = self._sched
         if sched is None:
             # built once per program and published by one assignment;
             # racing threads build equal schedules, so either may win
             sched = self._sched = _level_schedule(self)
+        return sched
+
+    def _scaled_durations(
+        self, fmat: np.ndarray, burst_block: int | None = None
+    ) -> np.ndarray:
+        """``(nbursts, K)`` burst seconds at the ``(K, nproc)`` frequencies,
+        with :meth:`_walk`'s operations per burst."""
         K = fmat.shape[0]
-        nproc = self.nproc
-        # lane-contiguous state: one row of K lanes per rank / slot
+        # lane-contiguous state: one row of K lanes per rank
         r1 = np.ascontiguousarray((self.time_model.fmax / fmat - 1.0).T)
         dur, beta, brank = self._np_dur, self._np_beta, self._np_brank
         nbursts = dur.shape[0]
@@ -1280,7 +1371,20 @@ class CompiledProgram:
                 sdur[lo:hi] = dur[lo:hi, None] * (
                     beta[lo:hi, None] * np.take(r1, brank[lo:hi], 0) + 1.0
                 )
-        del r1
+        return sdur
+
+    def _level_pass(
+        self, sdur: np.ndarray, markers: bool = False
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+        """Run the level schedule over K lanes of scaled burst seconds.
+
+        Returns the ``(nproc, K)`` clocks, compute and comm seconds and,
+        with ``markers``, the ``(n_markers, K)`` marker times indexed by
+        marker id (``None`` without).
+        """
+        sched = self._schedule()
+        K = sdur.shape[1]
+        nproc = self.nproc
         t = np.zeros((nproc, K))
         comp = np.zeros((nproc, K))
         comm = np.zeros((nproc, K))
@@ -1311,8 +1415,19 @@ class CompiledProgram:
         seg_kind = sched.seg_kind.tolist()
         sel_at = sched.sel_at.tolist()
         join_sel, join_slot = sched.join_sel, sched.join_slot
+        marks = None
+        if markers:
+            # a level's markers read their clocks before a higher
+            # level's first group runs
+            marks = np.empty((sched.marker_id.shape[0], K))
+            mrank, mid = sched.marker_rank, sched.marker_id
+            cut = sched.marker_cut.tolist()
+            read = 0
 
         for g, code in enumerate(sched.code.tolist() if K else ()):
+            if markers and cut[g] > read:
+                marks[mid[read:cut[g]]] = take(t, mrank[read:cut[g]], 0)
+                read = cut[g]
             lo, hi = bounds[g], bounds[g + 1]
             if code == _COLL:  # alone in its group
                 lv = t.max(axis=0) + costs[int(ranks[rank_at[g]])]
@@ -1390,20 +1505,9 @@ class CompiledProgram:
                 spentv[r] = rows(acc)
                 tv[r] = rows(nt)
 
-        end = np.ascontiguousarray(t.T)
-        elapsed = perf_counter() - start
-        add_engine_stats(
-            compiled_runs=1,
-            compiled_evaluations=K,
-            compiled_instructions=len(self._codes) * K,
-            compiled_seconds=elapsed,
-        )
-        return {
-            "execution_time": end.max(axis=1),
-            "compute_times": np.ascontiguousarray(comp.T),
-            "comm_times": np.ascontiguousarray(comm.T),
-            "end_times": end,
-        }
+        if markers:
+            marks[mid[read:]] = take(t, mrank[read:], 0)
+        return t, comp, comm, marks
 
     # ------------------------------------------------------------------
     def assert_equivalent(
@@ -1564,11 +1668,10 @@ class CompiledReplayEngine:
         concatenation of chunked passes is bit-identical to one full
         pass.
 
-        A one-row matrix is priced by the scalar :meth:`evaluate`
-        kernel instead: its row is bit-identical, a one-lane level pass
-        loses to the scalar walk on narrow worlds (few ranks per group
-        to amortise numpy's per-call overhead over), and the first pass
-        of a program also pays for its level schedule.
+        A one-row matrix is priced by :meth:`evaluate` instead, whose
+        row is bit-identical: it runs the same level pass with one lane
+        on wide tapes and the scalar walk on narrow ones, where a level
+        holds too few instructions to amortise numpy's per-call cost.
         """
         program = self.compile_trace(trace)
         fmat = np.asarray(frequencies, dtype=float)

@@ -51,6 +51,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.summation import left_to_right_sum
 from repro.traces.records import (
     ANY_SOURCE,
     ANY_TAG,
@@ -388,15 +389,15 @@ class ColumnarRankView:
     def compute_time(self) -> float:
         """Total compute seconds, summed in program order.
 
-        ``sum`` over a list accumulates strictly left to right, like a
-        per-record loop over the rank's bursts, which is what keeps
-        makespans and reports byte-identical to the recorded program —
-        numpy's pairwise ``.sum()`` would not be.
+        :func:`~repro.summation.left_to_right_sum` accumulates strictly
+        left to right, like a per-record loop over the rank's bursts,
+        which is what keeps makespans and reports byte-identical to the
+        recorded program — numpy's pairwise ``.sum()`` would not be.
         """
         t = self._trace
         lo, hi = self._lo, self._hi
         seg = t.duration[lo:hi]
-        return sum(seg[t.kind[lo:hi] == K_COMPUTE].tolist())
+        return left_to_right_sum(seg[t.kind[lo:hi] == K_COMPUTE].tolist())
 
     def compute_time_by_phase(self) -> dict[str, float]:
         t = self._trace
@@ -729,13 +730,14 @@ class ColumnarTrace:
 
     # -- analyses -------------------------------------------------------
     def compute_times(self) -> np.ndarray:
-        """Per-rank compute seconds (each summed like
-        :meth:`ColumnarRankView.compute_time`)."""
-        out = np.empty(self.nproc)
-        kind, dur, off = self.kind, self.duration, self.offsets
-        for rank in range(self.nproc):
-            lo, hi = int(off[rank]), int(off[rank + 1])
-            out[rank] = sum(dur[lo:hi][kind[lo:hi] == K_COMPUTE].tolist())
+        """Per-rank compute seconds, each summed left to right like
+        :meth:`ColumnarRankView.compute_time`: ``np.add.at`` applies
+        its additions one at a time in index order, so every rank's
+        bursts fold into its ``0.0`` in event order."""
+        bursts = np.flatnonzero(self.kind == K_COMPUTE)
+        ranks = np.searchsorted(self.offsets, bursts, side="right") - 1
+        out = np.zeros(self.nproc)
+        np.add.at(out, ranks, self.duration[bursts])
         return out
 
     def collective_counts(self) -> dict[str, int]:

@@ -5,9 +5,9 @@ numpy inversion of Eq. 3, one ``GearSet.select_many`` rounding.  This
 module keeps the rule the way it reads rank by rank —
 ``BetaTimeModel.frequency_for`` then ``GearSet.select`` for each rank —
 together with the power-cap search built on it (critical-path greedy,
-then a binary search over the per-rank gear-threshold grid on discrete
-sets or an exact float bisection on continuous ones, then the all-floor
-fallback).  Tests and the sweep benchmark compare ``assign`` against it
+then on discrete sets a binary search over the per-rank gear-threshold
+grid, re-checked exactly from the level it finds upward, or on
+continuous ones an exact float bisection, then the all-floor fallback).  Tests and the sweep benchmark compare ``assign`` against it
 exactly: frequencies, voltages, target time and both per-rank flags.
 """
 
@@ -143,7 +143,10 @@ def _powercap(
     pm, cap = algorithm.power_model, algorithm.cap
 
     def peak(a: OracleAssignment) -> float:
-        return sum(pm.power(g, CpuState.COMPUTE) for g in a.gears)
+        total = 0.0  # left to right (builtin sum compensates on 3.12+)
+        for g in a.gears:
+            total += pm.power(g, CpuState.COMPUTE)
+        return total
 
     lo = _fastest(times, gear_set, model)
     greedy = _to_target(times, lo, gear_set, model)
@@ -175,7 +178,11 @@ def _powercap(
                 feasible = mid
             else:
                 first_infeasible = mid
-        final = _to_target(times, levels[feasible], gear_set, model)
+        # the first level from the searched one up that fits exactly
+        for level in sorted(set(levels[feasible:])):
+            final = _to_target(times, level, gear_set, model)
+            if peak(final) <= cap:
+                return final
     else:
         for _ in range(_MAX_BISECTIONS):
             mid = 0.5 * (lo + hi)
@@ -186,11 +193,11 @@ def _powercap(
             else:
                 lo = mid
         final = _to_target(times, hi, gear_set, model)
-    if peak(final) > cap:
-        sel = gear_set.select(0.0)
-        n = times.size
-        final = OracleAssignment(
-            (sel.gear,) * n, float(hi), (False,) * n, (sel.attained,) * n
-        )
-    return final
+        if peak(final) <= cap:
+            return final
+    sel = gear_set.select(0.0)
+    n = times.size
+    return OracleAssignment(
+        (sel.gear,) * n, float(hi), (False,) * n, (sel.attained,) * n
+    )
 

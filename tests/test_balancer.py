@@ -5,7 +5,7 @@ import pytest
 
 from repro.apps import build_app
 from repro.core.algorithms import AvgAlgorithm, MaxAlgorithm, NoDvfsAlgorithm
-from repro.core.balancer import PowerAwareLoadBalancer
+from repro.core.balancer import PowerAwareLoadBalancer, trace_baseline
 from repro.core.gears import Gear, uniform_gear_set
 from repro.core.power import CpuPowerModel
 
@@ -90,6 +90,30 @@ class TestEnergyConsistency:
             + np.sum(texec - comp) * pm.power(nominal, "comm")
         )
         assert report.original_energy.total == pytest.approx(expected)
+
+    @pytest.mark.parametrize("spec", ["BT-MZ-32", "CG-64", "WRF-128"])
+    @pytest.mark.parametrize("static_fraction", [0.2, 0.45])
+    def test_baseline_energy_equals_per_rank_run_energy(
+        self, spec, static_fraction
+    ):
+        """The baseline priced as a one-gear table is the scalar
+        per-rank accounting it replaced, bit for bit."""
+        balancer = PowerAwareLoadBalancer(
+            gear_set=uniform_gear_set(6),
+            power_model=CpuPowerModel(static_fraction=static_fraction),
+        )
+        trace = build_app(spec, iterations=2).columnar_trace()
+        base = trace_baseline(balancer.simulator, balancer.accountant, trace)
+        want = balancer.accountant.run_energy(
+            base.original.compute_times,
+            base.original.execution_time,
+            [base.nominal_gear] * trace.nproc,
+        )
+        got = base.original_energy
+        for name in ("compute_energy", "comm_energy", "static_energy",
+                     "dynamic_energy", "execution_time"):
+            assert getattr(got, name).hex() == getattr(want, name).hex(), name
+        assert got.per_rank.tobytes() == want.per_rank.tobytes()
 
     def test_max_reduces_every_rank_or_keeps(self, balancer, btmz_trace):
         """No rank may consume more than it did originally under MAX."""

@@ -85,7 +85,9 @@ class TestCommands:
 
     def test_trace_writes_file(self, capsys, tmp_path):
         out_path = tmp_path / "trace.jsonl"
-        code = main(["trace", "CG-8", "-o", str(out_path), "--iterations", "2"])
+        code = main(
+            ["trace", "record", "CG-8", "-o", str(out_path), "--iterations", "2"]
+        )
         assert code == 0
         from repro.traces.jsonio import read_trace
 
@@ -156,7 +158,7 @@ class TestCommands:
 
     def test_info_on_written_trace(self, capsys, tmp_path):
         path = tmp_path / "t.jsonl"
-        main(["trace", "MG-8", "-o", str(path), "--iterations", "2"])
+        main(["trace", "record", "MG-8", "-o", str(path), "--iterations", "2"])
         assert main(["info", str(path)]) == 0
         out = capsys.readouterr().out
         assert "structurally valid" in out

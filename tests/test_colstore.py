@@ -392,13 +392,17 @@ class TestRunnerStorage:
 
 
 class TestCliTrace:
-    def test_trace_record_shim(self, tmp_path, capsys):
-        """`repro trace APP` still works (inserts the record verb)."""
+    def test_trace_without_a_verb_is_a_usage_error(self, tmp_path, capsys):
+        """`repro trace APP` is not a command: the verb is required."""
         from repro.cli import main
 
         out = tmp_path / "t.jsonl"
-        assert main(["trace", "CG-32", "-o", str(out), "--iterations", "2"]) == 0
-        assert out.exists()
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "CG-32", "-o", str(out), "--iterations", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "CG-32" in err
+        assert not out.exists()
 
     def test_trace_pack_and_info(self, tmp_path, capsys):
         from repro.cli import main

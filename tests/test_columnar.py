@@ -10,6 +10,8 @@ hypothesis driving the codec round-trips over adversarial streams
 """
 
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -167,14 +169,42 @@ class TestLosslessRoundTrip:
         for rank, records in enumerate(streams):
             bursts = [r for r in records if isinstance(r, ComputeBurst)]
             by_phase: dict[str, float] = {}
+            total = 0.0  # left to right (builtin sum compensates on 3.12+)
             for r in bursts:
                 by_phase[r.phase] = by_phase.get(r.phase, 0.0) + r.duration
-            assert ct[rank].compute_time() == sum(r.duration for r in bursts)
+                total += r.duration
+            assert ct[rank].compute_time() == total
             assert ct[rank].compute_time_by_phase() == by_phase
             assert ct[rank].bytes_sent() == sum(
                 r.nbytes for r in records
                 if isinstance(r, (SendRecord, IsendRecord))
             )
+
+
+class TestComputeTimes:
+    """``compute_times`` folds each rank's bursts left to right, in
+    memory and on a memory-mapped store alike."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(streams=st.lists(
+        stream_records(), min_size=NPROC, max_size=NPROC
+    ))
+    def test_equals_a_per_rank_loop(self, streams):
+        want = []
+        for records in streams:  # zero-burst ranks sum to 0.0
+            total = 0.0
+            for rec in records:
+                if isinstance(rec, ComputeBurst):
+                    total += rec.duration
+            want.append(total)
+        trace = record_trace(streams)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.rpcs")
+            trace.save(path)
+            mapped = ColumnarTrace.open(path, mmap=True)
+            for t in (trace, mapped):
+                assert t.compute_times().tobytes() == np.array(want).tobytes()
+                assert [t[r].compute_time() for r in range(NPROC)] == want
 
 
 class TestBuilder:
@@ -403,8 +433,8 @@ class TestCliColumnar:
 
         rec_path = tmp_path / "rec.jsonl"
         col_path = tmp_path / "col.jsonl"
-        assert main(["trace", "CG-8", "-o", str(rec_path)]) == 0
+        assert main(["trace", "record", "CG-8", "-o", str(rec_path)]) == 0
         assert main(
-            ["trace", "CG-8", "-o", str(col_path), "--jobs", "2"]
+            ["trace", "record", "CG-8", "-o", str(col_path), "--jobs", "2"]
         ) == 0
         assert rec_path.read_bytes() == col_path.read_bytes()

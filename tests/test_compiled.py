@@ -235,13 +235,14 @@ class TestPropertyEquivalence:
 # the level-scheduled batch pass against the scalar kernel
 # ---------------------------------------------------------------------------
 def _scalar_rows(program, fmat):
-    """The scalar kernel's rows, stacked like ``evaluate_many``'s result."""
-    rows = [program.evaluate(f) for f in fmat]
+    """The scalar walk's rows, stacked like ``evaluate_many``'s result
+    (``evaluate`` itself runs the level pass on wide tapes)."""
+    rows = [program._walk(f) for f in fmat]
     return {
-        "execution_time": np.array([r.execution_time for r in rows]),
-        "compute_times": np.array([r.compute_times for r in rows]),
-        "comm_times": np.array([r.comm_times for r in rows]),
-        "end_times": np.array([r.end_times for r in rows]),
+        "execution_time": np.array([end.max(initial=0.0) for end, *_ in rows]),
+        "compute_times": np.array([comp for _, comp, _, _ in rows]),
+        "comm_times": np.array([comm for _, _, comm, _ in rows]),
+        "end_times": np.array([end for end, *_ in rows]),
     }
 
 
@@ -305,7 +306,7 @@ class TestCompileVerdictAgainstDes:
 
 
 class TestLevelScheduleDifferential:
-    """Every batch row is the scalar kernel's row, bit for bit."""
+    """Every batch row is the scalar walk's row, bit for bit."""
 
     @pytest.mark.parametrize(
         "platform", [MYRINET_LIKE, RENDEZVOUS], ids=["default", "rendezvous"]
@@ -346,6 +347,138 @@ class TestLevelScheduleDifferential:
             _assert_bit_equal(
                 program.evaluate_many(fmat), _scalar_rows(program, fmat)
             )
+
+
+# ---------------------------------------------------------------------------
+# one-row evaluate: the level pass on wide tapes, the walk on narrow ones
+# ---------------------------------------------------------------------------
+def _with_markers(streams):
+    """Markers opening each rank, after every other record and closing
+    it: at level 0, after collectives and after blocking sends."""
+    out = []
+    for records in streams:
+        marked = [vmpi.marker("open", 0)]
+        for i, rec in enumerate(records):
+            marked.append(rec)
+            if i % 2:
+                marked.append(vmpi.marker("step", i))
+        marked.append(vmpi.marker("close", len(records)))
+        out.append(marked)
+    return out
+
+
+def _replicated(streams, copies):
+    """``copies`` side-by-side copies of a world: copy ``c`` of rank
+    ``r`` is rank ``c * n + r`` and talks to its own copy; collectives
+    span every rank.  The copies run in lockstep, so the replicated
+    world has the original's levels, each ``copies`` times as wide."""
+    def moved(rec, shift):
+        if hasattr(rec, "dst"):
+            return dataclasses.replace(rec, dst=rec.dst + shift)
+        if hasattr(rec, "src"):
+            return dataclasses.replace(rec, src=rec.src + shift)
+        return rec
+
+    n = len(streams)
+    return [
+        [moved(rec, c * n) for rec in records]
+        for c in range(copies)
+        for records in streams
+    ]
+
+
+def _copies_to_cross_the_cut(program):
+    """Copies whose replicated tape averages at least ``_SMALL_ROUND``
+    instructions per level (collectives are not replicated)."""
+    colls = program._codes.count(cp._COLL)
+    per_copy = program.n_instructions - colls
+    want = cp._SMALL_ROUND * (program._levels.shape[0] - 1) - colls
+    return max(1, -(-want // per_copy))
+
+
+def _is_wide(program):
+    n_levels = program._levels.shape[0] - 1
+    return program.n_instructions >= cp._SMALL_ROUND * n_levels
+
+
+def _assert_walk_identical(program, freqs):
+    """``evaluate`` equals the scalar walk byte for byte: per-rank
+    seconds, makespan and markers, with every time a Python float."""
+    got = program.evaluate(freqs)
+    end, comp, comm, markers = program._walk(program._normalize(freqs))
+    assert type(got.execution_time) is float
+    assert got.execution_time == float(end.max(initial=0.0))
+    for name, want in (("compute_times", comp), ("comm_times", comm),
+                       ("end_times", end)):
+        value = getattr(got, name)
+        assert value.dtype == want.dtype and value.shape == want.shape, name
+        assert value.tobytes() == want.tobytes(), name
+    assert got.markers == markers
+    assert all(
+        type(m.time) is float for per_rank in got.markers for m in per_rank
+    )
+    return got
+
+
+class TestOneRowEvaluate:
+    """``evaluate`` runs the level pass with one lane on tapes averaging
+    at least ``_SMALL_ROUND`` instructions per level and walks the rest;
+    either way its result is the scalar walk's, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "platform", [MYRINET_LIKE, RENDEZVOUS], ids=["default", "rendezvous"]
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(streams=valid_worlds(), seed=st.integers(0, 2**32 - 1))
+    def test_replicated_generated_worlds(self, platform, streams, seed):
+        streams = _with_markers(streams)
+        try:
+            small = compile_world(streams, platform, MODEL)
+        except CompileError:
+            event("deadlocked")
+            return
+        world = _replicated(streams, _copies_to_cross_the_cut(small))
+        program = compile_world(world, platform, MODEL)
+        assert _is_wide(program)
+        freqs = np.random.default_rng(seed).uniform(0.8, 2.3, len(world))
+        for f in (None, freqs):
+            _assert_walk_identical(program, f)
+        assert program._sched is not None  # the pass ran
+        if len(world) <= 128:
+            event("checked against the DES")
+            program.assert_equivalent(freqs)
+
+    @pytest.mark.parametrize("spec", ["BT-MZ-256", "CG-64", "WRF-128"])
+    @pytest.mark.parametrize(
+        "platform", [MYRINET_LIKE, RENDEZVOUS], ids=["default", "rendezvous"]
+    )
+    def test_wide_apps(self, spec, platform):
+        programs = build_app(spec, iterations=2).programs()
+        program = compile_world(programs, platform, MODEL)
+        assert _is_wide(program)
+        freqs = np.random.default_rng(18).uniform(0.8, 2.3, program.nproc)
+        for f in (None, freqs):
+            got = _assert_walk_identical(program, f)
+        assert any(got.markers)  # the apps mark their iterations
+        if program.nproc <= 128:
+            program.assert_equivalent(freqs)
+
+    def test_wavefront_keeps_the_walk(self):
+        program = compile_world(wavefront(256, [64]), MYRINET_LIKE, MODEL)
+        assert not _is_wide(program)
+        _assert_walk_identical(program, None)
+        assert program._sched is None  # no schedule was built
+
+    def test_schedule_is_shared_with_evaluate_many(self):
+        program = compile_world(
+            build_app("CG-64", iterations=1).programs(), MYRINET_LIKE, MODEL
+        )
+        program.evaluate()
+        sched = program._sched
+        assert sched is not None
+        program.evaluate_many(np.full((2, program.nproc), 1.4))
+        program.evaluate(1.1)
+        assert program._sched is sched
 
 
 def _tape_entries(program):

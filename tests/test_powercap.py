@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.algorithms import MaxAlgorithm
@@ -124,6 +124,10 @@ class TestPowerCapAlgorithm:
         hi_frac=st.floats(0.30, 0.9),
         beta=st.floats(0.0, 1.0),
     )
+    # β ≈ 0: at the loose cap the threshold probe picks a level whose
+    # exact assignment misses the cap by a gear
+    @example(times=[1.0, 1.0, 1.0, 2.0], lo_frac=0.375, hi_frac=0.4375,
+             beta=2**-24)
     def test_monotone_degradation_as_cap_tightens(
         self, times, lo_frac, hi_frac, beta
     ):

@@ -74,7 +74,7 @@ class TestDT001Summation:
         assert "tolist()" in diags[0].message
 
     def test_left_to_right_convention_allowed(self):
-        diags = lint("total = sum(seg[mask].tolist())\n")
+        diags = lint("total = left_to_right_sum(seg[mask].tolist())\n")
         assert diags == []
 
 
