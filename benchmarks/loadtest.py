@@ -8,8 +8,9 @@ owner asks:
 * **open loop** (``run_open_loop``) — requests *arrive* on a fixed
   rate schedule (stages of ``duration x rate``, like k6's
   constant-arrival-rate executor) regardless of how fast responses
-  come back, so latency percentiles reflect queueing under load
-  instead of being throttled by the slowest response (the
+  come back, and each is timed from its due time, so latency
+  percentiles reflect queueing under load — the generator's own as
+  well — instead of being throttled by the slowest response (the
   coordinated-omission trap of naive closed-loop drivers);
 * **closed loop** (``run_closed_loop``) — N workers issue requests
   back-to-back over persistent connections; the completion rate *is*
@@ -129,6 +130,9 @@ class LoadReport:
     sample and the throughput.  Every other reply (429 backpressure,
     5xx, or status 0 for a transport error) counts as ``failed``, so a
     fleet that answers fast rejections never looks faster for it.
+    An open-loop run also keeps how late each request was sent after
+    its due time: a generator that falls behind its schedule shows
+    there, and in the latencies, which count from the due time.
     """
 
     mode: str
@@ -140,10 +144,15 @@ class LoadReport:
     failed: int = 0
     #: transport errors only (no HTTP reply at all; status 0)
     errors: int = 0
+    #: open loop: how late each request was sent after its due time
+    lateness_ms: list[float] = field(default_factory=list)
 
     def record(
-        self, latency_s: float, status: int, cache_state: str | None
+        self, latency_s: float, status: int, cache_state: str | None,
+        late_s: float | None = None,
     ) -> None:
+        if late_s is not None:
+            self.lateness_ms.append(max(late_s, 0.0) * 1e3)
         self.statuses[str(status)] = self.statuses.get(str(status), 0) + 1
         if 200 <= status < 300:
             self.latencies_ms.append(latency_s * 1e3)
@@ -173,13 +182,7 @@ class LoadReport:
 
     def percentile(self, p: float) -> float:
         """p in [0, 100] -> 2xx latency in ms (0 when none)."""
-        if not self.latencies_ms:
-            return 0.0
-        ordered = sorted(self.latencies_ms)
-        idx = min(
-            len(ordered) - 1, max(0, round(p / 100 * (len(ordered) - 1)))
-        )
-        return ordered[idx]
+        return _percentile(self.latencies_ms, p)
 
     def histogram(self) -> dict[str, int]:
         counts = dict.fromkeys(
@@ -210,6 +213,10 @@ class LoadReport:
                 "max": round(max(self.latencies_ms), 3)
                 if self.latencies_ms else 0.0,
             },
+            "lateness_ms": {
+                "p99": round(_percentile(self.lateness_ms, 99), 3),
+                "max": round(max(self.lateness_ms, default=0.0), 3),
+            },
             "histogram": self.histogram(),
         }
 
@@ -225,7 +232,21 @@ class LoadReport:
             f"max={j['latency_ms']['max']:.1f}ms",
             f"  statuses {j['statuses']}  cache {j['cache_states']}",
         ]
+        if self.lateness_ms:
+            lines.insert(2, (
+                f"  sent late p99={j['lateness_ms']['p99']:.1f}ms "
+                f"max={j['lateness_ms']['max']:.1f}ms"
+            ))
         return "\n".join(lines)
+
+
+def _percentile(values: list[float], p: float) -> float:
+    """p in [0, 100] -> the nearest-rank value (0 when none)."""
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    idx = min(len(ordered) - 1, max(0, round(p / 100 * (len(ordered) - 1))))
+    return ordered[idx]
 
 
 def _split_url(url: str) -> tuple[str, int]:
@@ -282,7 +303,9 @@ def run_open_loop(
     Every arrival gets its own thread and connection (an open-loop
     client never waits for a previous response), so schedules are
     bounded by thread capacity — a few thousand arrivals total is the
-    sane ceiling, plenty for a smoke-level SLO check.
+    sane ceiling, plenty for a smoke-level SLO check.  A request's
+    latency counts from its due time, not from when it was sent, and
+    how late it was sent is recorded beside it.
     """
     mix = mix or RequestMix()
     host, port = _split_url(url)
@@ -293,20 +316,21 @@ def run_open_loop(
     start = time.perf_counter()
 
     def fire(at: float, body: dict[str, Any]) -> None:
-        delay = at - (time.perf_counter() - start)
+        due = start + at
+        delay = due - time.perf_counter()
         if delay > 0:
             time.sleep(delay)
+        sent = time.perf_counter()
         conn = HTTPConnection(host, port, timeout=timeout)
-        begin = time.perf_counter()
         try:
             status, cache_state = _post_balance(conn, body)
         except OSError:
             status, cache_state = 0, None
         finally:
             conn.close()
-        latency = time.perf_counter() - begin
+        latency = time.perf_counter() - due
         with lock:
-            report.record(latency, status, cache_state)
+            report.record(latency, status, cache_state, late_s=sent - due)
 
     threads = [
         threading.Thread(target=fire, args=a, daemon=True)

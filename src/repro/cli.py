@@ -269,19 +269,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     """Side-by-side: every strategy this library implements, one app."""
     from repro.apps import build_app
     from repro.core.algorithms import AvgAlgorithm, MaxAlgorithm
-    from repro.core.balancer import PowerAwareLoadBalancer
+    from repro.core.balancer import PowerAwareLoadBalancer, record_app
     from repro.core.dynamic import CommPhaseScalingRuntime, JitterRuntime
     from repro.core.gears import uniform_gear_set
     from repro.core.phasebalancer import PhaseAwareLoadBalancer
     from repro.experiments.fig9 import avg_discrete_set
     from repro.experiments.report import format_table
-    from repro.netsim.simulator import MpiSimulator
 
     gear_set = build_gear_set(args.gears)
     app = build_app(args.app, iterations=max(args.iterations, 2))
-    trace = MpiSimulator().run(
-        app.programs(), record_trace=True, meta={"name": app.name}
-    ).trace
+    trace = record_app(app)
 
     rows = []
 
@@ -322,8 +319,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.apps import build_app
-    from repro.core.balancer import PowerAwareLoadBalancer
-    from repro.core.gears import uniform_gear_set
+    from repro.core.balancer import record_app
     from repro.traces.jsonio import write_trace
 
     app = build_app(args.app, iterations=args.iterations)
@@ -334,8 +330,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         trace = app.columnar_trace(jobs=args.jobs)
         trace.meta.setdefault("nproc", trace.nproc)
     else:
-        balancer = PowerAwareLoadBalancer(gear_set=uniform_gear_set(6))
-        trace = balancer.trace_app(app)
+        trace = record_app(app)
     write_trace(trace, args.output)
     print(f"wrote {args.output} ({trace.total_records()} records, "
           f"{trace.nproc} ranks)")

@@ -43,7 +43,6 @@ __all__ = [
     "BalanceReport",
     "Baseline",
     "PowerAwareLoadBalancer",
-    "des_engine",
     "nominal_replay",
     "priced_report",
     "record_app",
@@ -79,20 +78,15 @@ def nominal_replay(simulator: Any, trace: "ColumnarTrace") -> "RunResult":
     return result
 
 
-def des_engine(simulator: Any) -> Any:
-    """The DES behind a replay engine: recording and interval capture
-    cannot run on a compiled tape, whatever the engine selection."""
-    des = getattr(simulator, "des", simulator)
-    if des.name != "des":
-        from repro.netsim.simulator import MpiSimulator
+def record_app(app: Any, platform: Any = None) -> "ColumnarTrace":
+    """Run an application skeleton once at nominal speed on the DES,
+    recording its trace (named after the app, ``nproc`` in its meta).
 
-        des = MpiSimulator(simulator.platform, simulator.time_model)
-    return des
+    Recording is the DES's job whatever the pricing engine, and a
+    nominal-speed run applies no time model."""
+    from repro.netsim.simulator import MpiSimulator
 
-
-def record_app(simulator: Any, app: Any) -> "ColumnarTrace":
-    """Run an application skeleton once at nominal speed, recording."""
-    result = des_engine(simulator).run(
+    result = MpiSimulator(platform).run(
         app.programs(), record_trace=True, meta={"name": app.name}
     )
     trace = result.trace
@@ -332,7 +326,7 @@ class PowerAwareLoadBalancer:
     # ------------------------------------------------------------------
     def trace_app(self, app: "Any") -> "ColumnarTrace":
         """Record an application skeleton (see :func:`record_app`)."""
-        return record_app(self.simulator, app)
+        return record_app(app, self.simulator.platform)
 
     def balance_app(
         self,
@@ -424,12 +418,13 @@ class PowerAwareLoadBalancer:
 
         Both runs record state intervals so they can be rendered with
         :mod:`repro.traces.timeline` — which, like trace recording, is
-        DES-only, so these replays run on the DES for every engine
+        the DES's job, so these replays run on the DES for every engine
         selection.
         """
+        from repro.netsim.simulator import MpiSimulator
         from repro.traces.transform import scale_compute
 
-        recorder = des_engine(self.simulator)
+        recorder = MpiSimulator(self.simulator.platform, self.time_model)
         original = recorder.run_trace(trace, record_intervals=True)
         scaled = scale_compute(trace, assignment.frequencies, self.time_model)
         modified = recorder.run_trace(scaled, record_intervals=True)

@@ -117,7 +117,9 @@ class BatchBalancePlanner:
         self, app: "Any", candidates: "Any"
     ) -> list[BalanceReport]:
         """Trace an application skeleton once, then plan the trace."""
-        return self.plan_trace(record_app(self.simulator, app), candidates)
+        return self.plan_trace(
+            record_app(app, self.simulator.platform), candidates
+        )
 
     # ------------------------------------------------------------------
     def plan_trace(

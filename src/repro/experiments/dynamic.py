@@ -18,11 +18,10 @@ tool — exactly the regular, compute-imbalanced codes it targets.
 from __future__ import annotations
 
 from repro.apps.registry import build_app
-from repro.core.balancer import PowerAwareLoadBalancer
+from repro.core.balancer import PowerAwareLoadBalancer, record_app
 from repro.core.dynamic import CommPhaseScalingRuntime, JitterRuntime
 from repro.core.gears import uniform_gear_set
 from repro.experiments.runner import ExperimentResult, RunnerConfig
-from repro.netsim.simulator import MpiSimulator
 from repro.traces.iterstats import iteration_stats
 
 __all__ = ["run"]
@@ -40,8 +39,7 @@ def _trace(name: str, config: RunnerConfig, drift_step: int = 0):
         platform=config.platform,
         drift_step=drift_step,
     )
-    sim = MpiSimulator(platform=config.platform)
-    return sim.run(app.programs(), record_trace=True, meta={"name": app.name}).trace
+    return record_app(app, config.platform)
 
 
 def run(config: RunnerConfig | None = None) -> ExperimentResult:

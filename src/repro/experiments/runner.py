@@ -216,10 +216,7 @@ class Runner:
                 # the pickling result cache is bypassed entirely
                 trace = self._mmap_trace(app)
             else:
-                from repro.netsim.simulator import MpiSimulator
-
-                # recording runs at nominal speed: no time model applies
-                trace = record_app(MpiSimulator(cfg.platform), app)
+                trace = record_app(app, cfg.platform)
                 if self.cache is not None:
                     self.cache.put("trace", self._trace_payload(app_name), trace)
         self._traces[key] = trace

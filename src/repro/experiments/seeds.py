@@ -18,10 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps.registry import build_app
-from repro.core.balancer import PowerAwareLoadBalancer
+from repro.core.balancer import PowerAwareLoadBalancer, record_app
 from repro.core.gears import uniform_gear_set
 from repro.experiments.runner import ExperimentResult, RunnerConfig
-from repro.netsim.simulator import MpiSimulator
 
 __all__ = ["run", "N_SEEDS"]
 
@@ -43,10 +42,7 @@ def run(config: RunnerConfig | None = None) -> ExperimentResult:
                 platform=config.platform,
                 seed=None if k == 0 else 10_000 + 97 * k,
             )
-            sim = MpiSimulator(platform=config.platform)
-            trace = sim.run(
-                app.programs(), record_trace=True, meta={"name": app.name}
-            ).trace
+            trace = record_app(app, config.platform)
             balancer = PowerAwareLoadBalancer(
                 gear_set=gear_set, platform=config.platform
             )

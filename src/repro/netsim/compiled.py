@@ -14,6 +14,9 @@ assignment*:
   The tape — bursts with base durations and β, point-to-point edges
   with wire costs, collective barriers with their cost, wait joins —
   comes out grouped by round, and a round is a dependency level.
+  Markers and waits with nothing to join move no clock and stay off
+  the tape: the kernel prices, and recording (traces, state intervals,
+  marker stamps) is the DES's job.
 * ``evaluate_many`` prices *K* assignments at once.  The program's
   first pass groups each level of the tape by opcode; each group then
   runs as one numpy op over ``(ranks, K)`` lanes, so a 4096-rank tape of
@@ -49,7 +52,6 @@ world feature                              why it needs the DES
 mixed eager/rendezvous on one channel      matcher interleaving is
                                            timing-dependent
 shrinking eager sizes on one channel       later sends could overtake
-interval / trace recording                 DES-only instrumentation
 =========================================  ==============================
 
 Structurally broken worlds (mismatched send/recv counts, request
@@ -75,7 +77,7 @@ from repro.core.timemodel import BetaTimeModel
 from repro.netsim.collectives import collective_time
 from repro.netsim.enginestats import add_engine_stats
 from repro.netsim.platform import MYRINET_LIKE, PlatformConfig
-from repro.netsim.record import Marker, RunResult
+from repro.netsim.record import RunResult
 from repro.traces.columnar import (
     K_COLLECTIVE,
     K_COMPUTE,
@@ -120,7 +122,8 @@ _IRECV_EAGER = 7    # (op, rank)
 _IRECV_RDV = 8      # (op, rank, slot)
 _WAIT = 9           # (op, rank, ((valkind, slot), ...))
 _COLL = 10          # (op, coll_index)
-_MARKER = 11        # (op, rank, label, iteration)
+#: Scan code of a marker: it moves no clock, so it never reaches the tape.
+_SKIP = 11
 
 #: wait-value kinds: eager arrival slot vs rendezvous max(sp,rp)+wire.
 _VAL_ARR = 0
@@ -288,8 +291,6 @@ def _scan(
     sc.dur, dur = _new_pool("d", int(tally[K_COMPUTE]))
     sc.beta, beta = _new_pool("d", int(tally[K_COMPUTE]))
     sc.brank, brank = _new_pool("i", int(tally[K_COMPUTE]))
-    sc.marker_iter, marker_iter = _new_pool("i", int(tally[K_MARKER]))
-    sc.marker_label = []
     for side, kinds in (("s", [K_SEND, K_ISEND]), ("r", [K_RECV, K_IRECV])):
         size = int(tally[kinds].sum())
         setattr(sc, side + "_ev", np.empty(size, np.int32))
@@ -300,13 +301,13 @@ def _scan(
     sc.ref_post = np.empty(max(int(tally[K_WAIT]) + listed, 0), np.int32)
     sc.ref_off = np.zeros(int(tally[K_WAIT] + tally[K_WAITALL]) + 1, np.int64)
     sc.inst = np.zeros((0, 4), dtype=np.int64)
-    at = dict.fromkeys((_COMPUTE, _MARKER, _WAIT, "s", "r", "ref"), 0)
+    at = dict.fromkeys((_COMPUTE, _WAIT, "s", "r", "ref"), 0)
 
     def number(idx: np.ndarray, what: Any) -> slice:
         """Give events ``idx`` the next indices of ``what``."""
         first = at[what]
         at[what] = first + idx.shape[0]
-        if what in (_COMPUTE, _MARKER, _WAIT):
+        if what in (_COMPUTE, _WAIT):
             sc.code[idx] = what
             sc.arg[idx] = np.arange(first, at[what])
         return slice(first, at[what])
@@ -346,10 +347,7 @@ def _scan(
         b = world.beta[lo:hi][idx]
         beta[s] = np.where(np.isnan(b), default_beta, b)
         brank[s] = erank[idx]
-        idx = np.flatnonzero(kind == K_MARKER)
-        marker_iter[number(lo + idx, _MARKER)] = world.aux[lo:hi][idx]
-        labels = world.label[lo:hi][idx].tolist()
-        sc.marker_label += [world.strings[i] for i in labels]
+        sc.code[lo + np.flatnonzero(kind == K_MARKER)] = _SKIP
         firsts = []
         for mask, side, src, dst in ((is_send, "s", erank, peer),
                                      (is_recv, "r", peer, erank)):
@@ -614,9 +612,9 @@ def _graph(sc: _Scan, offsets: np.ndarray, n_joins: np.ndarray) -> tuple:
     instance (from ``inst_lo``), a sink.  ``need`` counts a node's
     dependencies; ``adj`` holds its rank successor and the one node on
     another rank it unblocks (the sink for none); instance k unblocks
-    ``inst_next[inst_off[k]:inst_off[k+1]]``.  ``free`` marks events
-    that are not nodes (markers, join-free waits); ``tail`` is each
-    rank's last node (-1 for none).
+    ``inst_next[inst_off[k]:inst_off[k+1]]``.  Markers and join-free
+    waits are not nodes; ``tail`` is each rank's last node (-1 for
+    none).
     """
     code, arg = sc.code, sc.arg
     n = code.shape[0]
@@ -632,7 +630,7 @@ def _graph(sc: _Scan, offsets: np.ndarray, n_joins: np.ndarray) -> tuple:
     # rank chains over instructions and collective entries; an entry
     # stands for its instance, which waits for every rank's arrival (a
     # rank without a k-th collective leaves instance k unemitted)
-    free = code == _MARKER
+    free = code == _SKIP
     waits = np.flatnonzero(code == _WAIT)
     free[waits[n_joins == 0]] = True
     node = _where32(~free)
@@ -678,7 +676,7 @@ def _graph(sc: _Scan, offsets: np.ndarray, n_joins: np.ndarray) -> tuple:
     target, blocking = sc.s_claim[send], sc.s_block[send]
     target[blocking] = n + np.searchsorted(done_ev, sc.s_ev[send[blocking]])
     adj[sc.r_ev[rdv], 1] = target
-    return need, adj, (inst_lo, inst_off, inst_next), done_ev, free, tail
+    return need, adj, (inst_lo, inst_off, inst_next), done_ev, tail
 
 
 def _compile_columns(
@@ -697,10 +695,9 @@ def _compile_columns(
     wire_eager, wire_rdv = _pair(sc, platform)
     costs = _collective_costs(sc, platform)
     wait_off, wait_kind, wait_slot, n_joins = _wait_joins(sc)
-    need, adj, insts, done_ev, free, tail = _graph(sc, offsets, n_joins)
+    need, adj, insts, done_ev, tail = _graph(sc, offsets, n_joins)
     code, arg = sc.code, sc.arg
-    pools = dict(marker_label=sc.marker_label, marker_iter=sc.marker_iter,
-                 dur=sc.dur, beta=sc.beta, brank=sc.brank)
+    pools = dict(dur=sc.dur, beta=sc.beta, brank=sc.brank)
     del sc, n_joins  # the per-message arrays are spent
     rounds = _rounds(need, adj, *insts)
     del adj  # and so are the edges
@@ -711,7 +708,7 @@ def _compile_columns(
             f"compile-time deadlock: ranks {stuck.tolist()} cannot progress"
         )
     levels, codes, arg1, arg2 = _layout(
-        rounds, need, code, arg, offsets, free, done_ev, insts[0]
+        rounds, code, arg, offsets, done_ev, insts[0]
     )
     add_engine_stats(compiled_compiles=1)
     return CompiledProgram(
@@ -764,69 +761,39 @@ def _rounds(
 
 
 def _layout(
-    rounds: list[np.ndarray], need: np.ndarray, code: np.ndarray,
-    arg: np.ndarray, offsets: np.ndarray, free: np.ndarray,
-    done_ev: np.ndarray, inst_lo: int,
+    rounds: list[np.ndarray], code: np.ndarray, arg: np.ndarray,
+    offsets: np.ndarray, done_ev: np.ndarray, inst_lo: int,
 ) -> tuple[np.ndarray, bytearray, array, array]:
     """Write the tape level by level; returns the level bounds and tape.
 
-    Level r >= 1 holds round r's nodes, then the markers and join-free
-    waits that follow one of them (or a collective's entries) up to the
-    rank's next node, in event order; level 0 holds those that open a
-    rank.  Ranks keep program order, and level ``r`` is tape entries
-    ``[levels[r], levels[r+1])``.  Empties ``rounds``.
+    Level r holds round r's nodes, which are tape entries
+    ``[levels[r], levels[r+1])``; a rank's nodes sit in increasing
+    rounds, so ranks keep program order.  Events that are not nodes
+    (markers, join-free waits) move no clock and are left out.
+    Empties ``rounds``.
     """
     n = code.shape[0]
-    sizes = np.array([r.shape[0] for r in rounds], dtype=np.int64)
+    sizes = [r.shape[0] for r in rounds]
     order = np.concatenate(rounds) if rounds else np.empty(0, np.int32)
     rounds.clear()
-    level = need  # every node was emitted, so need is free to reuse
-    level[order] = np.repeat(np.arange(1, sizes.shape[0] + 1, dtype=np.int32), sizes)
-    # a marker or join-free wait takes the level of the node it follows
-    events, chain = _where32(free), _where32(~free)
-    at = np.searchsorted(chain, events) - 1
-    owner = chain[np.maximum(at, 0)] if chain.size else at
-    del chain
-    ev_rank = np.searchsorted(offsets, events, side="right") - 1
-    owned = (at >= 0) & (owner >= offsets[ev_rank])
-    prev = owner[owned]
-    pcode = code[prev]
-    prev[pcode == _COLL] = inst_lo + arg[prev[pcode == _COLL]]
-    post = pcode == _SEND_RDV_POST
-    prev[post] = n + np.searchsorted(done_ev, prev[post])
-    free_level = np.zeros(events.shape[0], dtype=np.int64)
-    free_level[owned] = level[prev]
-    del at, owner, owned, prev, pcode, post
-
-    real = np.concatenate(([0], sizes))
-    levels = np.zeros(real.shape[0] + 1, dtype=np.int64)
-    np.cumsum(real + np.bincount(free_level, minlength=real.shape[0]), out=levels[1:])
-    codes = bytearray(int(levels[-1]))
+    levels = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=levels[1:])
+    codes = bytearray(order.shape[0])
     cv = np.frombuffer(codes, dtype=np.uint8)
     arg1, a1 = _new_pool("i", len(codes))
     arg2, a2 = _new_pool("i", len(codes))
-    # each level's nodes first, in round order
-    real_cum = np.cumsum(real)
-    shift = np.repeat((levels[1:-1] - real_cum[:-1]).astype(np.int32), sizes)
     for lo in range(0, order.shape[0], _RELEASE_INTERVAL):
         node = order[lo:lo + _RELEASE_INTERVAL]
-        p = shift[lo:lo + _RELEASE_INTERVAL]
-        p += np.arange(lo, lo + node.shape[0], dtype=np.int32)
+        c, x1, x2 = (v[lo:lo + node.shape[0]] for v in (cv, a1, a2))
         ev = node.copy()  # the event behind each node
         done = (node >= n) & (node < inst_lo)
         ev[done] = done_ev[node[done] - n]
         coll = node >= inst_lo
         ev[coll] = 0
-        cv[p], a2[p] = code[ev], arg[ev]
-        a1[p] = np.searchsorted(offsets, ev, "right") - 1
-        cv[p[done]] = _SEND_RDV_DONE
-        cv[p[coll]], a1[p[coll]], a2[p[coll]] = _COLL, node[coll] - inst_lo, 0
-    del order, shift
-    # then the markers and join-free waits they own, in event order
-    by_level = np.argsort(free_level, kind="stable")
-    p = np.empty(events.shape[0], dtype=np.int64)
-    p[by_level] = np.arange(events.shape[0]) + real_cum[free_level[by_level]]
-    cv[p], a1[p], a2[p] = code[events], ev_rank, arg[events]
+        c[:], x2[:] = code[ev], arg[ev]
+        x1[:] = np.searchsorted(offsets, ev, "right") - 1
+        c[done] = _SEND_RDV_DONE
+        c[coll], x1[coll], x2[coll] = _COLL, node[coll] - inst_lo, 0
     return levels, codes, arg1, arg2
 
 
@@ -860,11 +827,6 @@ class _Schedule(NamedTuple):
     which names its wire time) fills arrival row i, and the ``arg`` of
     a ``_RECV_EAGER`` entry and the ``join_slot`` of an eager join name
     that row.  Rendezvous slots keep their tape numbering.
-
-    Markers are not scheduled: a marker reads its rank's clock at the
-    end of its level.  ``marker_rank`` and ``marker_id`` list the tape's
-    markers in tape order, and the first ``marker_cut[g]`` of them sit
-    at levels below group ``g``'s.
     """
 
     level: np.ndarray
@@ -880,9 +842,6 @@ class _Schedule(NamedTuple):
     sel_at: np.ndarray
     join_sel: np.ndarray
     join_slot: np.ndarray
-    marker_rank: np.ndarray
-    marker_id: np.ndarray
-    marker_cut: np.ndarray
 
 
 def _level_schedule(program: "CompiledProgram") -> _Schedule:
@@ -893,11 +852,10 @@ def _level_schedule(program: "CompiledProgram") -> _Schedule:
     rank's previous instruction and above the instructions that wrote
     the message slots it reads; a collective sits alone, one level
     above everything before it, and everything after it sits above it.
-    ``_MARKER`` and zero-join ``_WAIT`` instructions change no state and
-    are left out.  So within a level each rank appears once and every
-    slot read was written at a lower level: a (level, opcode) group can
-    run as one vectorised op, and each element still sees the IEEE
-    operations of a sequential tape walk in the same per-rank order.
+    So within a level each rank appears once and every slot read was
+    written at a lower level: a (level, opcode) group can run as one
+    vectorised op, and each element still sees the IEEE operations of
+    a sequential tape walk in the same per-rank order.
     """
     levels = program._levels
     n_levels = levels.shape[0] - 1
@@ -908,17 +866,8 @@ def _level_schedule(program: "CompiledProgram") -> _Schedule:
     )
     group_key <<= 4
     group_key += codes
-    # unscheduled instructions get negative keys and sort first, and
     # the stable sort keeps each group in tape order
-    waits = np.flatnonzero(codes == _WAIT)
-    woff = _pool_view(program._wait_off, np.int64)
-    wid = _pool_view(program._arg2, np.int32)[waits]
-    markers = np.flatnonzero(codes == _MARKER)
-    group_key[markers] = -1
-    group_key[waits[woff[wid + 1] == woff[wid]]] = -1
-    del waits, wid
     order = np.argsort(group_key, kind="stable")
-    order = order[np.count_nonzero(group_key < 0):]
     group_key = group_key[order]
     bounds = np.flatnonzero(group_key[1:] != group_key[:-1]) + 1
     bounds = np.concatenate(([0], bounds, [order.shape[0]]))
@@ -962,6 +911,7 @@ def _level_schedule(program: "CompiledProgram") -> _Schedule:
     # wait joins: (group, join position, kind, wait-in-group) order
     wpos = np.flatnonzero(entry_code == _WAIT)
     del entry_code
+    woff = _pool_view(program._wait_off, np.int64)
     wid = arg[wpos]
     jlo = woff[wid]
     nj = woff[wid + 1] - jlo
@@ -992,10 +942,8 @@ def _level_schedule(program: "CompiledProgram") -> _Schedule:
     partial = seg_size != size[jgroup[seg_start]]
     sel_at = np.zeros(seg_start.shape[0] + 1, dtype=np.int32)
     np.cumsum(np.where(partial, seg_size, 0), out=sel_at[1:])
-    group_level = (group_key >> 4).astype(np.int32)
-    marker_level = np.searchsorted(levels, markers, side="right") - 1
     return _Schedule(
-        level=group_level,
+        level=(group_key >> 4).astype(np.int32),
         code=(group_key & 15).astype(np.uint8),
         bounds=bounds.astype(np.int32),
         run=run,
@@ -1010,9 +958,6 @@ def _level_schedule(program: "CompiledProgram") -> _Schedule:
         sel_at=sel_at,
         join_sel=jsel[perm][np.repeat(partial, seg_size)].astype(np.int32),
         join_slot=jslot[perm],
-        marker_rank=_pool_view(program._arg1, np.int32)[markers],
-        marker_id=_pool_view(program._arg2, np.int32)[markers],
-        marker_cut=np.searchsorted(marker_level, group_level).astype(np.int32),
     )
 
 
@@ -1029,8 +974,8 @@ class CompiledProgram:
     pass and published with one attribute assignment.
 
     The tape is struct-of-arrays: one opcode byte plus two int32
-    arguments per instruction (~9 B), with wait join lists, marker
-    payloads and burst constants in flat side pools — the tuple tape it
+    arguments per instruction (~9 B), with wait join lists and burst
+    constants in flat side pools — the tuple tape it
     replaced cost ~20× that in boxed objects, which mattered once
     100k-rank worlds stopped paying for column copies.  Compile lays
     the tape out by dependency level; ``_levels`` holds the bounds.
@@ -1047,8 +992,6 @@ class CompiledProgram:
         wait_off: array,
         wait_kind: bytearray,
         wait_slot: array,
-        marker_label: list[str],
-        marker_iter: array,
         dur: array,
         beta: array,
         brank: array,
@@ -1067,8 +1010,6 @@ class CompiledProgram:
         self._wait_off = wait_off
         self._wait_kind = wait_kind
         self._wait_slot = wait_slot
-        self._marker_label = marker_label
-        self._marker_iter = marker_iter
         self._dur = dur
         self._beta = beta
         self._brank = brank
@@ -1104,13 +1045,14 @@ class CompiledProgram:
     ) -> RunResult:
         """Price one assignment; returns a DES-identical RunResult.
 
-        A tape that averages at least ``_SMALL_ROUND`` instructions per
-        dependency level runs the level pass of :meth:`evaluate_many`
-        with one lane, building or reusing the program's schedule; each
-        marker then reads its rank's clock at the end of its level.
-        Narrower tapes, whose levels are too small to amortise numpy's
-        per-call cost, are walked one instruction at a time
-        (:meth:`_walk`).  Both give the same bits.
+        The result carries what pricing reads: the makespan and each
+        rank's compute, comm and end seconds (no intervals or markers;
+        recording is the DES's).  A tape that averages at least
+        ``_SMALL_ROUND`` instructions per dependency level runs the
+        level pass of :meth:`evaluate_many` with one lane, building or
+        reusing the program's schedule.  Narrower tapes, whose levels
+        are too small to amortise numpy's per-call cost, are walked one
+        instruction at a time (:meth:`_walk`).  Both give the same bits.
         """
         freqs = self._normalize(frequencies)
         start = perf_counter()
@@ -1120,11 +1062,10 @@ class CompiledProgram:
                 sdur = self._np_dur[:, None]
             else:
                 sdur = self._scaled_durations(freqs[None, :])
-            t, comp, comm, marks = self._level_pass(sdur, markers=True)
+            t, comp, comm = self._level_pass(sdur)
             end_times, comp, comm = t[:, 0], comp[:, 0], comm[:, 0]
-            markers = self._marker_lists(marks[:, 0])
         else:
-            end_times, comp, comm, markers = self._walk(freqs)
+            end_times, comp, comm = self._walk(freqs)
         elapsed = perf_counter() - start
         add_engine_stats(
             compiled_runs=1,
@@ -1139,7 +1080,7 @@ class CompiledProgram:
             end_times=end_times,
             events=len(self._codes),
             intervals=None,
-            markers=markers,
+            markers=None,
             trace=None,
             meta=meta or {},
             engine="compiled",
@@ -1147,11 +1088,11 @@ class CompiledProgram:
 
     def _walk(
         self, freqs: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[Marker]]]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The scalar kernel: replay the tape one instruction at a time
         with plain float arithmetic.  Returns the end, compute and comm
-        seconds per rank and each rank's markers; ``freqs`` is a
-        normalised frequency row, or ``None`` for nominal speed."""
+        seconds per rank; ``freqs`` is a normalised frequency row, or
+        ``None`` for nominal speed."""
         nproc = self.nproc
         if freqs is None:
             sdur: Sequence[float] = self._dur
@@ -1169,7 +1110,6 @@ class CompiledProgram:
         arr = [0.0] * len(self._wire_eager)
         sp = [0.0] * len(self._wire_rdv)
         rp = [0.0] * len(self._wire_rdv)
-        markers: list[list[Marker]] = [[] for _ in range(nproc)]
         wire_e, wire_r = self._wire_eager, self._wire_rdv
         costs = self._coll_costs
         send_ov = self.platform.send_overhead
@@ -1177,7 +1117,6 @@ class CompiledProgram:
         ranks = range(nproc)
         codes, a1, a2 = self._codes, self._arg1, self._arg2
         woff, wkind, wslot = self._wait_off, self._wait_kind, self._wait_slot
-        mlabel, miter = self._marker_label, self._marker_iter
 
         for i in range(len(codes)):
             code = codes[i]
@@ -1254,32 +1193,15 @@ class CompiledProgram:
                 nt = t0 + recv_ov
                 comm[r] += nt - t0
                 t[r] = nt
-            elif code == _IRECV_RDV:
+            else:  # _IRECV_RDV
                 r, m = a1[i], a2[i]
                 t0 = t[r]
                 rp[m] = t0
                 nt = t0 + recv_ov
                 comm[r] += nt - t0
                 t[r] = nt
-            else:  # _MARKER
-                r = a1[i]
-                mid = a2[i]
-                markers[r].append(Marker(t[r], mlabel[mid], miter[mid]))
 
-        return np.array(t), np.array(comp), np.array(comm), markers
-
-    def _marker_lists(self, times: np.ndarray) -> list[list[Marker]]:
-        """Each rank's markers from their times, indexed by marker id.
-
-        Compile numbers markers in event order, so ids are rank-major
-        and each rank's ids are in its program order."""
-        made = list(map(
-            Marker, times.tolist(), self._marker_label, self._marker_iter
-        ))
-        ends = np.cumsum(
-            np.bincount(self._schedule().marker_rank, minlength=self.nproc)
-        ).tolist()
-        return [made[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
+        return np.array(t), np.array(comp), np.array(comm)
 
     # ------------------------------------------------------------------
     def evaluate_many(
@@ -1291,7 +1213,7 @@ class CompiledProgram:
         each positive and finite.  Returns ``execution_time`` ``(K,)``
         plus per-rank ``compute_times`` / ``comm_times`` / ``end_times``
         ``(K, nproc)`` (C-contiguous) — each row bit-identical to
-        :meth:`evaluate` (markers are not materialised in batch mode).
+        :meth:`evaluate`.
 
         The first pass of a program (this or a wide-tape
         :meth:`evaluate`) builds its level schedule (see
@@ -1322,7 +1244,7 @@ class CompiledProgram:
         if not (np.isfinite(fmat) & (fmat > 0.0)).all():
             raise ValueError("frequencies must be positive and finite")
         start = perf_counter()
-        t, comp, comm, _ = self._level_pass(
+        t, comp, comm = self._level_pass(
             self._scaled_durations(fmat, burst_block)
         )
         K = fmat.shape[0]
@@ -1374,14 +1296,10 @@ class CompiledProgram:
         return sdur
 
     def _level_pass(
-        self, sdur: np.ndarray, markers: bool = False
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-        """Run the level schedule over K lanes of scaled burst seconds.
-
-        Returns the ``(nproc, K)`` clocks, compute and comm seconds and,
-        with ``markers``, the ``(n_markers, K)`` marker times indexed by
-        marker id (``None`` without).
-        """
+        self, sdur: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Run the level schedule over K lanes of scaled burst seconds;
+        returns the ``(nproc, K)`` clocks, compute and comm seconds."""
         sched = self._schedule()
         K = sdur.shape[1]
         nproc = self.nproc
@@ -1415,19 +1333,8 @@ class CompiledProgram:
         seg_kind = sched.seg_kind.tolist()
         sel_at = sched.sel_at.tolist()
         join_sel, join_slot = sched.join_sel, sched.join_slot
-        marks = None
-        if markers:
-            # a level's markers read their clocks before a higher
-            # level's first group runs
-            marks = np.empty((sched.marker_id.shape[0], K))
-            mrank, mid = sched.marker_rank, sched.marker_id
-            cut = sched.marker_cut.tolist()
-            read = 0
 
         for g, code in enumerate(sched.code.tolist() if K else ()):
-            if markers and cut[g] > read:
-                marks[mid[read:cut[g]]] = take(t, mrank[read:cut[g]], 0)
-                read = cut[g]
             lo, hi = bounds[g], bounds[g + 1]
             if code == _COLL:  # alone in its group
                 lv = t.max(axis=0) + costs[int(ranks[rank_at[g]])]
@@ -1504,10 +1411,7 @@ class CompiledProgram:
                 acc += nt - col
                 spentv[r] = rows(acc)
                 tv[r] = rows(nt)
-
-        if markers:
-            marks[mid[read:]] = take(t, mrank[read:], 0)
-        return t, comp, comm, marks
+        return t, comp, comm
 
     # ------------------------------------------------------------------
     def assert_equivalent(
@@ -1542,20 +1446,15 @@ class CompiledProgram:
                     f"compiled replay diverges from DES on {name}: "
                     f"max |Δ| = {delta:.3e}"
                 )
-        if des.markers != mine.markers:
-            raise AssertionError(
-                "compiled replay diverges from DES on markers"
-            )
         return mine
 
 
 class CompiledReplayEngine:
-    """Drop-in engine facade over :func:`compile_world`.
+    """Engine facade over :func:`compile_columnar_world`: it prices.
 
-    Mirrors :class:`~repro.netsim.simulator.MpiSimulator`'s ``run`` /
-    ``run_trace`` surface on the supported subset (interval/trace
-    recording raise :class:`UnsupportedWorldError`; ``max_events`` is
-    accepted but moot — a compiled tape is finite by construction).
+    ``run_trace`` and ``evaluate_assignments`` match
+    :class:`~repro.netsim.simulator.MpiSimulator`'s on the supported
+    subset; recording (traces, intervals, markers) stays on the DES.
     Compiled programs are cached on the trace object, keyed by
     (platform, fmax, β), so a sweep compiles once and evaluates many
     times; capability rejections are negative-cached the same way.
@@ -1567,17 +1466,9 @@ class CompiledReplayEngine:
         self,
         platform: PlatformConfig | None = None,
         time_model: BetaTimeModel | None = None,
-        validate: bool = False,
     ):
         self.platform = platform or MYRINET_LIKE
         self.time_model = time_model or BetaTimeModel(fmax=2.3)
-        self.validate = validate
-
-    # ------------------------------------------------------------------
-    def compile_programs(
-        self, programs: Sequence[Iterable[Record]]
-    ) -> CompiledProgram:
-        return compile_world(programs, self.platform, self.time_model)
 
     def compile_trace(self, trace: ColumnarTrace) -> CompiledProgram:
         key = (self.platform, self.time_model.fmax, self.time_model.beta)
@@ -1600,55 +1491,14 @@ class CompiledReplayEngine:
         cache.append((key, program))
         return program
 
-    def supports(self, trace: ColumnarTrace) -> tuple[bool, str]:
-        """Capability check: (accepted, reason-if-not)."""
-        try:
-            self.compile_trace(trace)
-        except UnsupportedWorldError as exc:
-            return False, str(exc)
-        return True, ""
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        programs: Sequence[Iterable[Record]],
-        frequencies: Sequence[float] | float | None = None,
-        record_intervals: bool = False,
-        record_trace: bool = False,
-        max_events: int | None = 50_000_000,
-        meta: dict[str, Any] | None = None,
-    ) -> RunResult:
-        if record_intervals or record_trace:
-            raise UnsupportedWorldError(
-                "interval/trace recording requires the DES engine"
-            )
-        program = self.compile_programs(programs)
-        result = program.evaluate(frequencies, meta=meta or {})
-        if self.validate:
-            program.assert_equivalent(frequencies)
-        return result
-
     def run_trace(
         self,
         trace: ColumnarTrace,
         frequencies: Sequence[float] | float | None = None,
-        **kwargs: Any,
     ) -> RunResult:
-        meta = kwargs.pop("meta", None) or dict(trace.meta)
-        if kwargs.pop("record_intervals", False) or kwargs.pop(
-            "record_trace", False
-        ):
-            raise UnsupportedWorldError(
-                "interval/trace recording requires the DES engine"
-            )
-        kwargs.pop("max_events", None)
-        if kwargs:
-            raise TypeError(f"unexpected arguments {sorted(kwargs)}")
-        program = self.compile_trace(trace)
-        result = program.evaluate(frequencies, meta=meta)
-        if self.validate:
-            program.assert_equivalent(frequencies)
-        return result
+        return self.compile_trace(trace).evaluate(
+            frequencies, meta=dict(trace.meta)
+        )
 
     def evaluate_assignments(
         self,

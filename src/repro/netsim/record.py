@@ -2,8 +2,9 @@
 
 Besides the headline execution time, a :class:`RunResult` carries the
 per-rank activity accounting the power model integrates (compute vs
-in-MPI seconds), optional state-interval timelines (for Fig. 1 style
-rendering and the Paraver export) and optional timestamped markers.
+in-MPI seconds) and, when the DES records intervals, the
+state-interval timelines (for Fig. 1 style rendering and the Paraver
+export) with the timestamped markers that annotate them.
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ class RunResult:
     meta: dict[str, Any] = field(default_factory=dict)
     #: which replay engine produced this result ("des" or "compiled").
     #: For the DES, ``events`` counts heap events processed; for the
-    #: compiled kernel it counts instruction nodes evaluated.  Never
+    #: compiled kernel it counts the tape's instructions, which leave
+    #: out markers and waits with nothing to join.  Never
     #: part of cache keys or report payloads — results are engine-
     #: independent by construction.
     engine: str = "des"

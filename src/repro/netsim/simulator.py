@@ -9,9 +9,9 @@ over a :class:`~repro.netsim.platform.PlatformConfig`:
 * point-to-point messages follow an eager/rendezvous protocol with
   latency + size/bandwidth wire time and optional bus contention;
 * collectives synchronise all ranks and cost an analytic model time;
-* per-rank activity (compute vs in-MPI seconds), optional state-interval
-  timelines and markers are recorded into a
-  :class:`~repro.netsim.record.RunResult`.
+* per-rank activity (compute vs in-MPI seconds) is recorded into a
+  :class:`~repro.netsim.record.RunResult`, with the state-interval
+  timelines and the marker stamps that annotate them on request.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class _RankUsage:
         self.comm = 0.0
         self.end_time = 0.0
         self.intervals: list[Interval] | None = [] if record_intervals else None
-        self.markers: list[Marker] = []
+        self.markers: list[Marker] | None = [] if record_intervals else None
 
     def add(self, t0: float, t1: float, kind: str) -> None:
         dur = t1 - t0
@@ -126,6 +126,10 @@ class MpiSimulator:
         ``programs`` — one record iterable per rank (rank = index).
         ``frequencies`` — per-rank GHz (scalar broadcasts); ``None``
         means nominal speed (burst durations pass through unscaled).
+        ``record_intervals`` — return each rank's state intervals and
+        its markers, stamped with the time the rank reached them, as
+        ``RunResult.intervals`` and ``RunResult.markers`` (both ``None``
+        otherwise).
         ``record_trace`` — return the executed ops, in each rank's
         program order, as ``RunResult.trace`` (a
         :class:`~repro.traces.columnar.ColumnarTrace` carrying ``meta``).
@@ -259,18 +263,15 @@ class _Run:
                 + [f"matcher: {diag}"]
             )
         end_times = np.array([u.end_time for u in self.usage])
+        recorded = self.usage[0].intervals is not None
         return RunResult(
             execution_time=float(end_times.max(initial=0.0)),
             compute_times=np.array([u.compute for u in self.usage]),
             comm_times=np.array([u.comm for u in self.usage]),
             end_times=end_times,
             events=self.engine.events_processed,
-            intervals=(
-                [u.intervals for u in self.usage]
-                if self.usage[0].intervals is not None
-                else None
-            ),
-            markers=[u.markers for u in self.usage],
+            intervals=[u.intervals for u in self.usage] if recorded else None,
+            markers=[u.markers for u in self.usage] if recorded else None,
             trace=(
                 None
                 if self.recorded is None
@@ -327,7 +328,8 @@ class _Run:
             usage.add(t0, engine.now, "compute")
 
         elif kind == "marker":
-            usage.markers.append(Marker(engine.now, op.label, op.iteration))
+            if usage.markers is not None:
+                usage.markers.append(Marker(engine.now, op.label, op.iteration))
 
         elif kind == "send":
             t0 = engine.now

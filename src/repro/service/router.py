@@ -284,7 +284,9 @@ class FrontRouter:
         payload["_http_status"] = status
         return payload
 
-    async def _poll_readiness(self) -> None:
+    async def _poll_readiness(self) -> list[dict[str, Any] | None]:
+        """Probe every replica, move the ring to the ready ones and
+        return the probes' payloads (in replica order)."""
         payloads = await asyncio.gather(
             *(self._probe(a) for a in self.replicas)
         )
@@ -308,6 +310,7 @@ class FrontRouter:
                 "ring rebalanced: %d/%d replica(s) in rotation",
                 len(ready), len(self.replicas),
             )
+        return payloads
 
     async def _health_loop(self) -> None:
         while True:
@@ -499,19 +502,18 @@ class FrontRouter:
     # Aggregated fleet endpoints
     # ------------------------------------------------------------------
     async def _fleet_healthz(self) -> Response:
-        payloads = await asyncio.gather(
-            *(self._probe(a) for a in self.replicas)
-        )
+        # one probe pass moves the ring and renders the payload, so the
+        # readiness reported is the ring the next request is placed on
+        payloads = await self._poll_readiness()
         replicas: dict[str, Any] = {}
-        ready = 0
+        ready = len(self.ring.nodes)
         for state, payload in zip(self.replicas.values(), payloads):
             if payload is None:
                 replicas[state.name] = {
                     "status": "unreachable", "addr": state.addr,
                 }
                 continue
-            if payload.pop("_http_status") == 200:
-                ready += 1
+            del payload["_http_status"]
             payload["addr"] = state.addr
             replicas[state.name] = payload
         payload = {

@@ -8,6 +8,8 @@ from repro.core.algorithms import AvgAlgorithm, MaxAlgorithm, NoDvfsAlgorithm
 from repro.core.balancer import PowerAwareLoadBalancer, trace_baseline
 from repro.core.gears import Gear, uniform_gear_set
 from repro.core.power import CpuPowerModel
+from repro.netsim.simulator import MpiSimulator
+from repro.traces.transform import scale_compute
 
 
 class TestBalanceApp:
@@ -160,3 +162,35 @@ class TestReplayPair:
         report = balancer.balance_trace(btmz_trace)
         original, modified = balancer.replay_pair(btmz_trace, report.assignment)
         assert compute_fraction(modified) > compute_fraction(original)
+
+
+@pytest.mark.parametrize("engine", ["des", "compiled", "auto"])
+class TestRecordingStaysOnTheDes:
+    """Whatever engine prices, recording runs on the DES: the traces,
+    intervals and marker stamps are the DES's own."""
+
+    def test_trace_app(self, engine):
+        app = build_app("CG-8", iterations=2)
+        balancer = PowerAwareLoadBalancer(uniform_gear_set(6), engine=engine)
+        got = balancer.trace_app(app)
+        want = MpiSimulator().run(
+            app.programs(), record_trace=True, meta={"name": app.name}
+        ).trace
+        assert got.meta == dict(want.meta, nproc=app.nproc)
+        for rank in range(app.nproc):
+            assert got.records_of(rank) == want.records_of(rank)
+
+    def test_replay_pair(self, engine, btmz_trace):
+        balancer = PowerAwareLoadBalancer(uniform_gear_set(6), engine=engine)
+        report = balancer.balance_trace(btmz_trace)
+        original, modified = balancer.replay_pair(btmz_trace, report.assignment)
+        scaled = scale_compute(
+            btmz_trace, report.assignment.frequencies, balancer.time_model
+        )
+        des = MpiSimulator()
+        for got, trace in ((original, btmz_trace), (modified, scaled)):
+            want = des.run_trace(trace, record_intervals=True)
+            assert got.engine == "des"
+            assert got.intervals == want.intervals
+            assert got.markers == want.markers
+            assert any(got.markers)  # BT-MZ marks its iterations

@@ -272,11 +272,10 @@ class TestJsonioDispatch:
     def test_record_trace_converts_on_write(self, tmp_path):
         """A DES-recorded trace stores and reads back record for record."""
         from repro.core.balancer import record_app
-        from repro.netsim.simulator import MpiSimulator
         from repro.traces.jsonio import read_trace, write_trace
 
         app = build_app("CG-32", iterations=2)
-        trace = record_app(MpiSimulator(), app)
+        trace = record_app(app)
         path = tmp_path / f"t{STORE_EXTENSION}"
         write_trace(trace, path)
         back = read_trace(path)

@@ -323,7 +323,7 @@ class TestCompiledIdentity:
         p_col = compile_columnar_world(app.columnar_trace(), MYRINET_LIKE, MODEL)
         for pool in (
             "_codes", "_arg1", "_arg2", "_wait_off", "_wait_kind",
-            "_wait_slot", "_marker_label", "_marker_iter", "_brank",
+            "_wait_slot", "_brank",
         ):
             assert getattr(p_rec, pool) == getattr(p_col, pool), pool
         assert p_rec._dur == p_col._dur

@@ -3,12 +3,14 @@
 The contract under test (see ``repro.netsim.compiled``): for every
 world the capability check accepts, ``CompiledProgram.evaluate`` and
 ``MpiSimulator`` produce *identical* results — same makespan, same
-per-rank compute/comm seconds, same end times, same markers, compared
-with ``np.array_equal`` (no tolerance).  Worlds outside the supported
+per-rank compute/comm seconds, same end times, compared with
+``np.array_equal`` (no tolerance).  Worlds outside the supported
 subset must be rejected with :class:`UnsupportedWorldError` so the
 ``auto`` engine can fall back to the DES.  ``evaluate_many``'s
 level-scheduled pass is held to the scalar kernel the same way, row by
 row, and its cached schedule to the invariants that make it exact.
+The kernel only prices: its tape holds no markers, and recording
+(traces, intervals, marker stamps) stays on the DES.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ def _assert_identical(des, compiled):
     assert np.array_equal(des.compute_times, compiled.compute_times)
     assert np.array_equal(des.comm_times, compiled.comm_times)
     assert np.array_equal(des.end_times, compiled.end_times)
-    assert des.markers == compiled.markers
+    assert des.markers is None and compiled.markers is None
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +127,18 @@ class TestExactEquivalence:
             ]
             for rank in range(nproc)
         ]
-        des, compiled = _both(programs, [1.5, 2.3, 0.8, 2.0])
+        freqs = [1.5, 2.3, 0.8, 2.0]
+        des, compiled = _both(programs, freqs)
         _assert_identical(des, compiled)
-        assert sum(len(per_rank) for per_rank in compiled.markers) == 3 * nproc
+        # the tape holds the bursts and one entry per collective; the
+        # DES stamps the markers when it records intervals
+        program = compile_world(programs, MYRINET_LIKE, MODEL)
+        assert program.n_instructions == 3 * (nproc + 2)
+        recorded = MpiSimulator(MYRINET_LIKE, MODEL).run(
+            programs, frequencies=freqs, record_intervals=True
+        )
+        assert recorded.execution_time == compiled.execution_time
+        assert sum(len(per_rank) for per_rank in recorded.markers) == 3 * nproc
 
     def test_nonblocking_eager_and_rendezvous(self):
         nproc = 4
@@ -225,10 +236,8 @@ class TestPropertyEquivalence:
         # registered app's default world must be accepted.
         engine = CompiledReplayEngine(MYRINET_LIKE, MODEL)
         app = build_app("CG-32", iterations=1)
-        ok, reason = engine.supports(
-            MpiSimulator().run(app.programs(), record_trace=True).trace
-        )
-        assert ok, reason
+        trace = MpiSimulator().run(app.programs(), record_trace=True).trace
+        assert engine.compile_trace(trace).nproc == 32  # raises if declined
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +248,10 @@ def _scalar_rows(program, fmat):
     (``evaluate`` itself runs the level pass on wide tapes)."""
     rows = [program._walk(f) for f in fmat]
     return {
-        "execution_time": np.array([end.max(initial=0.0) for end, *_ in rows]),
-        "compute_times": np.array([comp for _, comp, _, _ in rows]),
-        "comm_times": np.array([comm for _, _, comm, _ in rows]),
-        "end_times": np.array([end for end, *_ in rows]),
+        "execution_time": np.array([end.max(initial=0.0) for end, _, _ in rows]),
+        "compute_times": np.array([comp for _, comp, _ in rows]),
+        "comm_times": np.array([comm for _, _, comm in rows]),
+        "end_times": np.array([end for end, _, _ in rows]),
     }
 
 
@@ -403,9 +412,10 @@ def _is_wide(program):
 
 def _assert_walk_identical(program, freqs):
     """``evaluate`` equals the scalar walk byte for byte: per-rank
-    seconds, makespan and markers, with every time a Python float."""
+    seconds and a Python-float makespan, and no markers."""
     got = program.evaluate(freqs)
-    end, comp, comm, markers = program._walk(program._normalize(freqs))
+    end, comp, comm = program._walk(program._normalize(freqs))
+    assert got.markers is None
     assert type(got.execution_time) is float
     assert got.execution_time == float(end.max(initial=0.0))
     for name, want in (("compute_times", comp), ("comm_times", comm),
@@ -413,10 +423,6 @@ def _assert_walk_identical(program, freqs):
         value = getattr(got, name)
         assert value.dtype == want.dtype and value.shape == want.shape, name
         assert value.tobytes() == want.tobytes(), name
-    assert got.markers == markers
-    assert all(
-        type(m.time) is float for per_rank in got.markers for m in per_rank
-    )
     return got
 
 
@@ -444,6 +450,8 @@ class TestOneRowEvaluate:
         for f in (None, freqs):
             _assert_walk_identical(program, f)
         assert program._sched is not None  # the pass ran
+        # the markers stay off the tape
+        _assert_schedule_invariants(program)
         if len(world) <= 128:
             event("checked against the DES")
             program.assert_equivalent(freqs)
@@ -453,13 +461,13 @@ class TestOneRowEvaluate:
         "platform", [MYRINET_LIKE, RENDEZVOUS], ids=["default", "rendezvous"]
     )
     def test_wide_apps(self, spec, platform):
-        programs = build_app(spec, iterations=2).programs()
+        programs = [list(p) for p in build_app(spec, iterations=2).programs()]
+        assert any(rec.kind == "marker" for rec in programs[0])
         program = compile_world(programs, platform, MODEL)
         assert _is_wide(program)
         freqs = np.random.default_rng(18).uniform(0.8, 2.3, program.nproc)
         for f in (None, freqs):
-            got = _assert_walk_identical(program, f)
-        assert any(got.markers)  # the apps mark their iterations
+            _assert_walk_identical(program, f)
         if program.nproc <= 128:
             program.assert_equivalent(freqs)
 
@@ -482,24 +490,18 @@ class TestOneRowEvaluate:
 
 
 def _tape_entries(program):
-    """Per rank, the tape instructions the batch pass runs, in order.
+    """Per rank, the tape's instructions, in order.
 
     Entries are ``(tape index, code, arg2)``; collectives are listed
-    separately as ``(tape index, collective index)``.  Markers and
-    waits without joins change no state and are not scheduled.
+    separately as ``(tape index, collective index)``.
     """
     per_rank = [[] for _ in range(program.nproc)]
     colls = []
-    woff = program._wait_off
     for i, (code, a1, a2) in enumerate(
         zip(program._codes, program._arg1, program._arg2)
     ):
         if code == cp._COLL:
             colls.append((i, a1))
-        elif code == cp._MARKER:
-            continue
-        elif code == cp._WAIT and woff[a2] == woff[a2 + 1]:
-            continue
         else:
             per_rank[a1].append((i, code, a2))
     return per_rank, colls
@@ -576,13 +578,15 @@ def _tape_levels(program):
 def _assert_schedule_invariants(program):
     tape_level = _tape_levels(program)
     codes, a1, a2 = program._codes, program._arg1, program._arg2
+    # every tape entry falls in exactly one schedule group: the tape
+    # holds no marker and no wait with nothing to join
+    assert int(program._sched.bounds[-1]) == len(codes)
+    assert sorted(tape_level) == list(range(len(codes)))
     # every collective sits above everything before it in the tape and
     # below everything after it
-    top = 0
-    floor = 0
+    top = -1
+    floor = -1
     for i in range(len(codes)):
-        if i not in tape_level:
-            continue
         level = tape_level[i]
         assert level > floor
         if codes[i] == cp._COLL:
@@ -714,6 +718,7 @@ class TestLevelScheduleInvariants:
     )
     def test_nothing_to_schedule(self, programs):
         program = compile_world(programs, MYRINET_LIKE, MODEL)
+        assert program.n_instructions == 0
         fmat = np.full((2, 2), 2.0)
         _assert_bit_equal(
             program.evaluate_many(fmat), _scalar_rows(program, fmat)
@@ -797,7 +802,7 @@ class TestCapabilityChecks:
         with pytest.raises(
             SimulationError, match="rank 0: wait on unknown request 1"
         ):
-            engine.run(programs)
+            engine.run_trace(ColumnarTrace.from_streams(programs))
 
     def test_auto_falls_back_to_des_on_deadlock(self):
         # The DES must own the authentic error, not CompileError.
@@ -808,24 +813,7 @@ class TestCapabilityChecks:
         ]
         engine = AutoReplayEngine(MYRINET_LIKE, MODEL)
         with pytest.raises(DeadlockError):
-            engine.run(programs)
-
-    def test_record_intervals_routes_to_des(self):
-        programs = [[vmpi.compute(0.01)], [vmpi.compute(0.02)]]
-        engine = AutoReplayEngine(MYRINET_LIKE, MODEL)
-        result = engine.run(
-            [list(p) for p in programs], record_intervals=True
-        )
-        assert result.engine == "des"
-        assert result.intervals is not None
-
-    def test_compiled_engine_refuses_record_flags(self):
-        programs = [[vmpi.compute(0.01)], [vmpi.compute(0.02)]]
-        engine = CompiledReplayEngine(MYRINET_LIKE, MODEL)
-        with pytest.raises(UnsupportedWorldError):
-            engine.run([list(p) for p in programs], record_intervals=True)
-        with pytest.raises(UnsupportedWorldError):
-            engine.run([list(p) for p in programs], record_trace=True)
+            engine.run_trace(ColumnarTrace.from_streams(programs))
 
 
 # ---------------------------------------------------------------------------
@@ -836,14 +824,14 @@ class TestAutoEngine:
         programs = [[vmpi.compute(0.01), vmpi.allreduce(64)]
                     for _ in range(4)]
         engine = AutoReplayEngine(MYRINET_LIKE, MODEL)
-        result = engine.run([list(p) for p in programs])
+        result = engine.run_trace(ColumnarTrace.from_streams(programs))
         assert result.engine == "compiled"
 
     def test_fallback_increments_counter(self):
         reset_engine_stats()
         programs = [[vmpi.send(1, 64)], [vmpi.recv()]]  # wildcard
         engine = AutoReplayEngine(MYRINET_LIKE, MODEL)
-        result = engine.run([list(p) for p in programs])
+        result = engine.run_trace(ColumnarTrace.from_streams(programs))
         assert result.engine == "des"
         stats = process_engine_stats()
         assert stats["auto_fallbacks"] == 1
@@ -854,7 +842,7 @@ class TestAutoEngine:
         programs = [[vmpi.compute(0.01), vmpi.allreduce(64)]
                     for _ in range(4)]
         engine = CompiledReplayEngine(MYRINET_LIKE, MODEL)
-        result = engine.run([list(p) for p in programs])
+        result = engine.run_trace(ColumnarTrace.from_streams(programs))
         stats = process_engine_stats()
         assert stats["compiled_compiles"] == 1
         assert stats["compiled_runs"] == 1
@@ -869,13 +857,6 @@ class TestAutoEngine:
         assert ENGINE_NAMES == ("des", "compiled", "auto")
         with pytest.raises(ValueError, match="engine"):
             make_engine("turbo")
-
-    def test_validate_mode_cross_checks(self):
-        programs = [[vmpi.compute(0.01 * (r + 1)), vmpi.allreduce(64)]
-                    for r in range(4)]
-        engine = CompiledReplayEngine(MYRINET_LIKE, MODEL, validate=True)
-        result = engine.run([list(p) for p in programs])
-        assert result.engine == "compiled"
 
 
 class TestCompileCache:

@@ -49,7 +49,8 @@ def _free_ports(n: int) -> list[int]:
 class Fleet:
     """N in-process replicas (peer-wired) behind a front router."""
 
-    def __init__(self, tmp_path, n, executor_factory=None, **overrides):
+    def __init__(self, tmp_path, n, executor_factory=None,
+                 health_interval=0.05, **overrides):
         ports = _free_ports(n)
         addrs = [f"127.0.0.1:{p}" for p in ports]
         self.replicas = []
@@ -71,7 +72,9 @@ class Fleet:
             )
             self.replicas.append(ServiceThread(config, executor=executor))
         self.router = RouterThread(
-            RouterConfig(replicas=tuple(addrs), health_interval=0.05)
+            RouterConfig(
+                replicas=tuple(addrs), health_interval=health_interval
+            )
         )
 
     def start(self):
@@ -442,6 +445,26 @@ class TestReadiness:
             gate.gate.set()
             stopper.join(timeout=60)
         assert not stopper.is_alive()
+
+    def test_router_healthz_reports_the_ring_it_routes_with(self, tmp_path):
+        # replica 1 comes up after the router's startup poll, and the
+        # health loop does not tick again: /healthz alone must bring it
+        # into the ring whose size it reports
+        fleet = Fleet(tmp_path, 2, health_interval=3600)
+        late = fleet.replicas[1]
+        fleet.replicas[0].start()
+        fleet.router.start()
+        try:
+            router = fleet.router.router
+            assert len(router.ring.nodes) == 1
+            late.start()
+            wait_for(lambda: late.client.healthz()["status"] == "ok")
+            health = fleet.client.healthz()
+            assert health["fleet"]["ready"] == 2
+            assert len(router.ring.nodes) == 2
+            assert health["status"] == "ok"
+        finally:
+            fleet.stop()
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -200,6 +201,27 @@ class TestDrivers:
         assert report.statuses == {"200": 10}
         assert report.cache_states == {"hit": 10}
         assert len(stub_server.seen) == 10
+
+    def test_open_loop_times_requests_from_their_due_time(
+        self, stub_server, monkeypatch
+    ):
+        # a generator that oversleeps sends late; the server answers at
+        # once, so only timing from the due time shows the lag
+        real_sleep = time.sleep
+        monkeypatch.setattr(time, "sleep", lambda s: real_sleep(s + 0.2))
+        report = run_open_loop(
+            _url(stub_server), [Stage(0.3, 10.0)], seed=4
+        )
+        monkeypatch.undo()
+        assert report.requests == report.ok == 3
+        # arrivals at 0.1 s and 0.2 s sleep first; the one at 0 does not
+        assert sorted(report.latencies_ms)[1] >= 200.0
+        assert report.percentile(99) >= 200.0
+        late = sorted(report.lateness_ms)
+        assert late[0] < 100.0 and late[1] >= 200.0
+        lateness = report.to_json()["lateness_ms"]
+        assert lateness["max"] >= 200.0 and lateness["p99"] >= 200.0
+        assert "sent late" in report.render()
 
     def test_open_loop_counts_unreachable_as_errors(self):
         # nothing listens here: every arrival is an error, not a crash

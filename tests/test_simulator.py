@@ -341,7 +341,9 @@ class TestRecording:
         assert ivs[1].duration == pytest.approx(1.0)  # waiting for rank 1
 
     def test_markers_timestamped(self):
-        result = run([[vmpi.compute(1.0), vmpi.marker("mid", 2)]])
+        result = run(
+            [[vmpi.compute(1.0), vmpi.marker("mid", 2)]], record_intervals=True
+        )
         marks = result.markers[0]
         assert len(marks) == 1
         assert marks[0].time == pytest.approx(1.0)
@@ -350,6 +352,10 @@ class TestRecording:
     def test_no_intervals_by_default(self):
         result = run([[vmpi.compute(1.0)]])
         assert result.intervals is None
+
+    def test_markers_stamped_only_with_intervals(self):
+        result = run([[vmpi.compute(1.0), vmpi.marker("mid", 2)]])
+        assert result.markers is None
 
 
 class TestDeterminism:
