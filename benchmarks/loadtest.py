@@ -11,7 +11,9 @@ owner asks:
   come back, and each is timed from its due time, so latency
   percentiles reflect queueing under load — the generator's own as
   well — instead of being throttled by the slowest response (the
-  coordinated-omission trap of naive closed-loop drivers);
+  coordinated-omission trap of naive closed-loop drivers).  A fixed
+  pool of ``OPEN_LOOP_SENDERS`` threads, each on one keep-alive
+  connection, sends the arrivals in due-time order;
 * **closed loop** (``run_closed_loop``) — N workers issue requests
   back-to-back over persistent connections; the completion rate *is*
   the sustainable throughput, which is what the replica-scaling
@@ -36,12 +38,13 @@ stdlib, no repro imports, safe to point at any deployment.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import threading
 import time
 from dataclasses import dataclass, field
-from http.client import HTTPConnection
+from http.client import HTTPConnection, HTTPException
 from typing import Any
 from urllib.parse import urlsplit
 
@@ -53,6 +56,11 @@ __all__ = [
     "run_open_loop",
     "schedule_arrivals",
 ]
+
+#: Sender threads (and connections) of an open-loop run, whatever its
+#: length and rate; an arrival that finds every sender busy is sent
+#: late and shows up in ``lateness_ms``.
+OPEN_LOOP_SENDERS = 32
 
 #: Latency histogram bucket upper bounds (milliseconds, log-spaced).
 HISTOGRAM_BUCKETS_MS = (
@@ -255,17 +263,32 @@ def _split_url(url: str) -> tuple[str, int]:
     return parts.hostname, parts.port or 80
 
 
-def _post_balance(
-    conn: HTTPConnection, body: dict[str, Any]
-) -> tuple[int, str | None]:
-    payload = json.dumps(body).encode()
-    conn.request(
-        "POST", "/v1/balance", body=payload,
-        headers={"Content-Type": "application/json"},
-    )
-    response = conn.getresponse()
-    response.read()
-    return response.status, response.headers.get("X-Cache")
+class _KeepAlive:
+    """One keep-alive connection, reopened after a transport error."""
+
+    def __init__(self, host: str, port: int, timeout: float):
+        self._open = functools.partial(
+            HTTPConnection, host, port, timeout=timeout
+        )
+        self._conn = self._open()
+
+    def post_balance(self, body: dict[str, Any]) -> tuple[int, str | None]:
+        """(status, X-Cache) of one POST; status 0 on a transport error."""
+        try:
+            self._conn.request(
+                "POST", "/v1/balance", body=json.dumps(body).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            response = self._conn.getresponse()
+            response.read()
+        except (OSError, HTTPException):
+            self._conn.close()
+            self._conn = self._open()
+            return 0, None
+        return response.status, response.headers.get("X-Cache")
+
+    def close(self) -> None:
+        self._conn.close()
 
 
 def schedule_arrivals(
@@ -300,46 +323,52 @@ def run_open_loop(
 ) -> LoadReport:
     """Constant-arrival-rate driving: fire on schedule, measure the tail.
 
-    Every arrival gets its own thread and connection (an open-loop
-    client never waits for a previous response), so schedules are
-    bounded by thread capacity — a few thousand arrivals total is the
-    sane ceiling, plenty for a smoke-level SLO check.  A request's
-    latency counts from its due time, not from when it was sent, and
-    how late it was sent is recorded beside it.
+    ``OPEN_LOOP_SENDERS`` threads take the arrivals in due-time order,
+    each sleeping until its arrival is due and sending it on its own
+    keep-alive connection, so any schedule runs on a fixed number of
+    threads and connections.  A request's latency counts from its due
+    time, not from when it was sent, and how late it was sent (because
+    every sender was still busy) is recorded beside it.
     """
     mix = mix or RequestMix()
     host, port = _split_url(url)
     arrivals = schedule_arrivals(stages, mix, seed)
+    pending = iter(arrivals)
     total = sum(stage.duration_s for stage in stages)
     report = LoadReport(mode="open", duration_s=total)
     lock = threading.Lock()
     start = time.perf_counter()
 
-    def fire(at: float, body: dict[str, Any]) -> None:
-        due = start + at
-        delay = due - time.perf_counter()
-        if delay > 0:
-            time.sleep(delay)
-        sent = time.perf_counter()
-        conn = HTTPConnection(host, port, timeout=timeout)
+    def sender() -> None:
+        conn = _KeepAlive(host, port, timeout)
         try:
-            status, cache_state = _post_balance(conn, body)
-        except OSError:
-            status, cache_state = 0, None
+            while True:
+                with lock:
+                    arrival = next(pending, None)
+                if arrival is None:
+                    return
+                due = start + arrival[0]
+                delay = due - time.perf_counter()
+                if delay > 0:
+                    time.sleep(delay)
+                sent = time.perf_counter()
+                status, cache_state = conn.post_balance(arrival[1])
+                latency = time.perf_counter() - due
+                with lock:
+                    report.record(
+                        latency, status, cache_state, late_s=sent - due
+                    )
         finally:
             conn.close()
-        latency = time.perf_counter() - due
-        with lock:
-            report.record(latency, status, cache_state, late_s=sent - due)
 
     threads = [
-        threading.Thread(target=fire, args=a, daemon=True)
-        for a in arrivals
+        threading.Thread(target=sender, daemon=True)
+        for _ in range(min(OPEN_LOOP_SENDERS, len(arrivals)))
     ]
     for t in threads:
         t.start()
     for t in threads:
-        t.join(timeout=timeout + total + 10)
+        t.join()
     return report
 
 
@@ -364,17 +393,12 @@ def run_closed_loop(
     deadline = time.perf_counter() + duration_s
 
     def worker() -> None:
-        conn = HTTPConnection(host, port, timeout=timeout)
+        conn = _KeepAlive(host, port, timeout)
         try:
             while time.perf_counter() < deadline:
                 body = bodies[next(counter) % len(bodies)]
                 begin = time.perf_counter()
-                try:
-                    status, cache_state = _post_balance(conn, body)
-                except OSError:
-                    conn.close()
-                    conn = HTTPConnection(host, port, timeout=timeout)
-                    status, cache_state = 0, None
+                status, cache_state = conn.post_balance(body)
                 latency = time.perf_counter() - begin
                 with lock:
                     report.record(latency, status, cache_state)

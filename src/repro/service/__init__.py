@@ -14,16 +14,25 @@ coalescing and the warm cache are fleet-wide), replicas read through
 each other's cache partitions over a verified blob protocol, and the
 router's ``/healthz``/``/metrics`` aggregate the whole fleet.
 
+The replica and the router share one HTTP runtime
+(:mod:`repro.service.routes`: request parser, response writer and
+keep-alive connection loop) and differ only in their request handler;
+both ``repro serve`` entries run one signal-driven coroutine
+(:func:`repro.service.app.run_until_signalled`).
+
 Entry points:
 
 - :class:`repro.service.app.ServiceApp` / ``repro serve`` — one replica
 - :class:`repro.service.supervisor.Supervisor` — the fleet
   (``repro serve --replicas N``)
 - :class:`repro.service.router.FrontRouter` — the consistent-hash door
-- :class:`repro.service.client.ServiceClient` — a thin blocking client
+- :class:`repro.service.client.ServiceClient` — a thin blocking client,
+  also the peer cache's client for the blob endpoints
 - :class:`repro.service.client.ServiceThread` /
   :class:`repro.service.router.RouterThread` /
-  :class:`repro.service.supervisor.FleetThread` — test harnesses
+  :class:`repro.service.supervisor.FleetThread` — test harnesses, thin
+  subclasses of one event-loop thread,
+  :class:`repro.service.client.LoopThread`
 """
 
 from repro.service.app import ServiceApp, ServiceConfig

@@ -29,20 +29,17 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import logging
 import signal
 import time
+from collections.abc import Awaitable, Callable
 from dataclasses import dataclass
 from typing import Any
 
 from repro.service import routes as _routes
 from repro.service.coalesce import SingleFlight
-from repro.service.errors import (
-    InternalError,
-    ServiceError,
-    ShuttingDown,
-    ValidationError,
-)
+from repro.service.errors import InternalError, ServiceError, ShuttingDown
 from repro.service.jobs import Job, JobTable
 from repro.service.metrics import MetricsRegistry
 from repro.service.queue import AdmissionController
@@ -54,16 +51,9 @@ from repro.service.workers import (
     run_experiment_job,
 )
 
-__all__ = ["ServiceApp", "ServiceConfig"]
+__all__ = ["ServiceApp", "ServiceConfig", "run_until_signalled"]
 
 log = logging.getLogger("repro.service")
-
-_REASONS = {
-    200: "OK", 202: "Accepted", 400: "Bad Request", 403: "Forbidden",
-    404: "Not Found", 405: "Method Not Allowed", 413: "Payload Too Large",
-    429: "Too Many Requests", 500: "Internal Server Error",
-    503: "Service Unavailable",
-}
 
 #: kind -> (pool job function, cache kind for the fast path).
 _JOB_FNS = {
@@ -492,13 +482,10 @@ class ServiceApp:
         return payload
 
     # ------------------------------------------------------------------
-    # HTTP plumbing
+    # HTTP handler
     # ------------------------------------------------------------------
-    async def _read_request(self, reader: asyncio.StreamReader):
-        """Parse one request; None on clean EOF; raises ValidationError."""
-        return await _routes.read_http_request(reader)
-
-    async def _dispatch(self, request: HttpRequest) -> tuple[Response, str]:
+    async def _dispatch(self, request: HttpRequest) -> Response:
+        self._active_requests += 1
         start = time.perf_counter()
         endpoint = "unmatched"
         try:
@@ -516,6 +503,8 @@ class ServiceApp:
             response = error_response(
                 InternalError("unexpected server error; see server log")
             )
+        finally:
+            self._active_requests -= 1
         elapsed = time.perf_counter() - start
         self.requests_total.inc(
             endpoint=endpoint, method=request.method,
@@ -529,81 +518,7 @@ class ServiceApp:
             f" cache={response.headers['X-Cache']}"
             if "X-Cache" in response.headers else "",
         )
-        return response, endpoint
-
-    async def _write_response(
-        self, writer: asyncio.StreamWriter, request: HttpRequest | None,
-        response: Response, keep_alive: bool,
-    ) -> None:
-        reason = _REASONS.get(response.status, "Unknown")
-        headers = {
-            "Content-Type": response.content_type,
-            "Content-Length": str(len(response.body)),
-            "Connection": "keep-alive" if keep_alive else "close",
-            **response.headers,
-        }
-        if request is not None:
-            headers.setdefault("X-Request-Id", request.request_id)
-        head = [f"HTTP/1.1 {response.status} {reason}"]
-        head += [f"{k}: {v}" for k, v in headers.items()]
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode())
-        writer.write(response.body)
-        await writer.drain()
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        assert task is not None
-        self._conn_tasks.add(task)
-        try:
-            while True:
-                try:
-                    request = await self._read_request(reader)
-                except ValidationError as err:
-                    await self._write_response(
-                        writer, None, error_response(err), False
-                    )
-                    break
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                except (asyncio.LimitOverrunError, ValueError):
-                    # oversized header line (asyncio's readline limit)
-                    # or similar framing garbage: answer 400, not an
-                    # unhandled-task traceback
-                    await self._write_response(
-                        writer, None,
-                        error_response(
-                            ValidationError("malformed request framing")
-                        ),
-                        False,
-                    )
-                    break
-                if request is None:
-                    break
-                self._active_requests += 1
-                try:
-                    response, _endpoint = await self._dispatch(request)
-                finally:
-                    self._active_requests -= 1
-                wants_close = (
-                    request.headers.get("connection", "").lower() == "close"
-                )
-                keep_alive = not wants_close and not self._draining
-                await self._write_response(
-                    writer, request, response, keep_alive
-                )
-                if not keep_alive:
-                    break
-        except asyncio.CancelledError:
-            pass  # drain cancels idle keep-alive readers
-        except ConnectionError:
-            pass
-        finally:
-            self._conn_tasks.discard(task)
-            writer.close()
-            with contextlib.suppress(ConnectionError, OSError):
-                await writer.wait_closed()
+        return response
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -617,7 +532,13 @@ class ServiceApp:
         not eat the pool-spawn latency.
         """
         self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
+            functools.partial(
+                _routes.serve_connection,
+                handle=self._dispatch,
+                tasks=self._conn_tasks,
+                keep_alive=lambda: not self._draining,
+            ),
+            self.config.host, self.config.port,
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._started = time.time()
@@ -677,13 +598,23 @@ class ServiceApp:
 
     async def run(self) -> int:
         """CLI entry: serve until SIGTERM/SIGINT, then drain."""
-        await self.start()
-        loop = asyncio.get_running_loop()
-        stop = asyncio.Event()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            with contextlib.suppress(NotImplementedError):
-                loop.add_signal_handler(sig, stop.set)
-        await stop.wait()
-        log.info("shutdown signal received; draining")
-        await self.shutdown()
-        return 0
+        return await run_until_signalled(self.start, self.shutdown)
+
+
+async def run_until_signalled(
+    start: Callable[[], Awaitable[Any]], drain: Callable[[], Awaitable[None]]
+) -> int:
+    """Await ``start()``, wait for SIGINT or SIGTERM, then ``drain()``.
+
+    The ``repro serve`` entry of a replica and of a fleet supervisor.
+    """
+    await start()
+    loop = asyncio.get_running_loop()
+    stop = asyncio.Event()
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        with contextlib.suppress(NotImplementedError):
+            loop.add_signal_handler(sig, stop.set)
+    await stop.wait()
+    log.info("shutdown signal received; draining")
+    await drain()
+    return 0

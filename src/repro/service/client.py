@@ -1,10 +1,14 @@
-"""Thin stdlib client for the simulation service, plus a test harness.
+"""Thin stdlib client for the simulation service, plus test harnesses.
 
 :class:`ServiceClient` wraps ``http.client`` — one connection per
 request, JSON in/out, no retries (retry policy belongs to callers; the
-server's ``Retry-After`` header tells them when).  :class:`ServiceThread`
-hosts a :class:`~repro.service.app.ServiceApp` on a background event
-loop so tests and benchmarks can exercise the real HTTP stack in-process::
+server's ``Retry-After`` header tells them when).  It also speaks the
+fleet-internal blob endpoints the peer cache uses.
+
+:class:`LoopThread` hosts one server object on a background event loop
+so tests and benchmarks can exercise the real HTTP stack in-process;
+:class:`ServiceThread` (a replica), ``RouterThread`` and
+``FleetThread`` are its thin subclasses::
 
     with ServiceThread(ServiceConfig(port=0)) as service:
         response = service.client.balance(app="BT-MZ-32")
@@ -18,13 +22,15 @@ import contextlib
 import json
 import threading
 import time
+from collections.abc import Awaitable, Callable
 from dataclasses import dataclass, field
 from http.client import HTTPConnection
 from typing import Any
 
 from repro.service.app import ServiceApp, ServiceConfig
+from repro.service.routes import PEER_SECRET_HEADER
 
-__all__ = ["ServiceClient", "ServiceResponse", "ServiceThread"]
+__all__ = ["LoopThread", "ServiceClient", "ServiceResponse", "ServiceThread"]
 
 
 @dataclass
@@ -92,7 +98,7 @@ class ServiceClient:
         """Fetch one framed cache blob (peer-cache wire protocol)."""
         headers = {}
         if secret is not None:
-            headers["X-Repro-Peer-Secret"] = secret
+            headers[PEER_SECRET_HEADER] = secret
         return self.request("GET", f"/v1/cache/{key}", headers=headers)
 
     def cache_put(
@@ -101,7 +107,7 @@ class ServiceClient:
         """Store one framed cache blob (peer-cache wire protocol)."""
         headers = {"Content-Type": "application/octet-stream"}
         if secret is not None:
-            headers["X-Repro-Peer-Secret"] = secret
+            headers[PEER_SECRET_HEADER] = secret
         return self.request(
             "PUT", f"/v1/cache/{key}", raw=blob, headers=headers,
         )
@@ -136,18 +142,27 @@ class ServiceClient:
             time.sleep(interval)
 
 
-class ServiceThread:
-    """Run a :class:`ServiceApp` on a daemon thread (context manager).
+class LoopThread:
+    """Run one server object on a daemon thread (context manager).
 
-    The app's event loop lives entirely on the background thread; the
-    calling thread talks plain HTTP through :attr:`client`.  ``port=0``
-    in the config binds an ephemeral port, read back after startup.
+    The server's event loop lives entirely on the background thread;
+    the calling thread talks plain HTTP through :attr:`client`.  The
+    server object has a ``start()`` coroutine that binds and returns
+    its port, a ``port`` and a ``config.host``; ``drain`` is the
+    coroutine that stops it.  A ``port=0`` config binds an ephemeral
+    port, read back after startup.
     """
 
-    def __init__(
-        self, config: ServiceConfig | None = None, executor: Any = None
-    ):
-        self.app = ServiceApp(config, executor=executor)
+    #: Names the thread ("repro-<role>") and startup errors.
+    role = "server"
+    #: Seconds ``start()`` waits for the server to bind.
+    start_timeout = 30.0
+    #: Seconds ``stop()`` waits for the drain to finish.
+    stop_timeout = 60.0
+
+    def __init__(self, server: Any, drain: Callable[[], Awaitable[None]]):
+        self._server = server
+        self._drain = drain
         self._thread: threading.Thread | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop: asyncio.Event | None = None
@@ -156,30 +171,26 @@ class ServiceThread:
 
     @property
     def port(self) -> int:
-        assert self.app.port is not None, "service not started"
-        return self.app.port
+        assert self._server.port is not None, f"{self.role} not started"
+        return self._server.port
 
     @property
     def client(self) -> ServiceClient:
-        return ServiceClient(self.app.config.host, self.port)
+        return ServiceClient(self._server.config.host, self.port)
 
-    def start(self) -> ServiceThread:
+    def start(self) -> LoopThread:
         self._thread = threading.Thread(
-            target=self._run, name="repro-service", daemon=True
+            target=self._run, name=f"repro-{self.role}", daemon=True
         )
         self._thread.start()
-        if not self._ready.wait(timeout=30):
-            raise RuntimeError("service failed to start within 30s")
+        if not self._ready.wait(timeout=self.start_timeout):
+            raise RuntimeError(
+                f"{self.role} failed to start within "
+                f"{self.start_timeout:g}s"
+            )
         if self._startup_error is not None:
-            raise RuntimeError("service failed to start") \
+            raise RuntimeError(f"{self.role} failed to start") \
                 from self._startup_error
-        # block until /healthz would answer 200 (worker pool warm), so
-        # callers never observe the transient "warming" readiness gap
-        deadline = time.monotonic() + 120
-        while not self.app.ready and time.monotonic() < deadline:
-            time.sleep(0.005)
-        if not self.app.ready:
-            raise RuntimeError("service never became ready (pool warmup)")
         return self
 
     def _run(self) -> None:
@@ -189,14 +200,14 @@ class ServiceThread:
         async def main() -> None:
             self._stop = asyncio.Event()
             try:
-                await self.app.start()
+                await self._server.start()
             except BaseException as exc:
                 self._startup_error = exc
                 self._ready.set()
                 raise
             self._ready.set()
             await self._stop.wait()
-            await self.app.shutdown()
+            await self._drain()
 
         try:
             self._loop.run_until_complete(main())
@@ -214,10 +225,37 @@ class ServiceThread:
             with contextlib.suppress(RuntimeError):  # raced loop close
                 self._loop.call_soon_threadsafe(self._stop.set)
         if self._thread is not None:
-            self._thread.join(timeout=60)
+            self._thread.join(timeout=self.stop_timeout)
 
-    def __enter__(self) -> ServiceThread:
+    def __enter__(self):
         return self.start()
 
     def __exit__(self, *exc_info: Any) -> None:
         self.stop()
+
+
+class ServiceThread(LoopThread):
+    """Run a :class:`ServiceApp` on a daemon thread (context manager).
+
+    ``start()`` returns once ``/healthz`` would answer 200 (worker pool
+    warm), so callers never observe the transient "warming" gap.
+    """
+
+    role = "service"
+    #: Seconds ``start()`` waits for the worker pool to warm up.
+    ready_timeout = 120.0
+
+    def __init__(
+        self, config: ServiceConfig | None = None, executor: Any = None
+    ):
+        self.app = ServiceApp(config, executor=executor)
+        super().__init__(self.app, self.app.shutdown)
+
+    def start(self) -> ServiceThread:
+        super().start()
+        deadline = time.monotonic() + self.ready_timeout
+        while not self.app.ready and time.monotonic() < deadline:
+            time.sleep(0.005)
+        if not self.app.ready:
+            raise RuntimeError("service never became ready (pool warmup)")
+        return self

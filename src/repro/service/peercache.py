@@ -15,25 +15,28 @@ shipping, receiving side before unpickling or persisting), so a torn
 write, truncated transfer or bit-rotten peer blob degrades to a miss,
 never to corruption.
 
-Failure model: peers are an optimization, never a dependency.  Any
-socket error, timeout, non-200 status or verification failure is
-counted (``peer_errors`` / ``peer_corrupt``) and treated as a miss —
-the replica simply recomputes.  Push traffic (warming the ring owner
-after a forwarded request) is likewise fire-and-forget.
+Failure model: peers are an optimization, never a dependency.  A 404
+is a plain miss; any socket error, timeout, other non-200 status or
+verification failure is counted (``peer_errors`` / ``peer_corrupt``)
+and treated as a miss — the replica simply recomputes.  Push traffic
+(warming the ring owner after a forwarded request) is likewise
+fire-and-forget.
 
 Authorization: the blob endpoints are fleet-internal.  The supervisor
 generates a per-fleet secret and every replica requires it as the
 ``x-repro-peer-secret`` header (the framing digest alone cannot bind a
 blob to its key, so an open PUT would let anyone poison pickled
-results); :class:`PeerCacheClient` attaches it to every hop.  The
-front router refuses to proxy ``/v1/cache/*`` at all.
+results); every hop goes through
+:meth:`~repro.service.client.ServiceClient.cache_get` /
+:meth:`~repro.service.client.ServiceClient.cache_put` with the secret.
+The front router refuses to proxy ``/v1/cache/*`` at all.
 """
 
 from __future__ import annotations
 
 import pickle
 import re
-from http.client import HTTPConnection
+from http.client import HTTPException
 from typing import Any
 
 from repro.experiments.cache import (
@@ -42,13 +45,9 @@ from repro.experiments.cache import (
     frame_blob,
     unframe_blob,
 )
+from repro.service.client import ServiceClient
 
-__all__ = [
-    "PEER_SECRET_HEADER",
-    "PeerCacheClient",
-    "PeerResultCache",
-    "valid_cache_key",
-]
+__all__ = ["PeerResultCache", "valid_cache_key"]
 
 #: Cache keys on the wire: ``{kind}-{sha256 hex}`` (kind may itself
 #: contain dashes, e.g. ``balance-batch``).
@@ -60,64 +59,12 @@ def valid_cache_key(key: str) -> bool:
     return bool(_KEY_RE.match(key))
 
 
-#: Header carrying the fleet-shared peer-cache secret (mirrors
-#: :data:`repro.service.routes.PEER_SECRET_HEADER`; redeclared here so
-#: the client stays importable without the routes module).
-PEER_SECRET_HEADER = "x-repro-peer-secret"
-
-
-class PeerCacheClient:
-    """Blocking blob GET/PUT against one sibling replica."""
-
-    def __init__(
-        self, addr: str, timeout: float = 2.0, secret: str | None = None
-    ):
-        host, _, port = addr.rpartition(":")
-        if not host or not port.isdigit():
-            raise ValueError(f"peer address must be host:port, got {addr!r}")
-        self.addr = addr
-        self.host = host
-        self.port = int(port)
-        self.timeout = timeout
-        self.secret = secret
-
-    def _headers(self, **extra: str) -> dict[str, str]:
-        if self.secret:
-            extra[PEER_SECRET_HEADER] = self.secret
-        return extra
-
-    def get_blob(self, key: str) -> bytes | None:
-        """Fetch one framed blob; ``None`` on miss *or* any failure."""
-        conn = HTTPConnection(self.host, self.port, timeout=self.timeout)
-        try:
-            conn.request("GET", f"/v1/cache/{key}", headers=self._headers())
-            response = conn.getresponse()
-            body = response.read()
-            return body if response.status == 200 else None
-        except OSError:
-            return None
-        finally:
-            conn.close()
-
-    def put_blob(self, key: str, blob: bytes) -> bool:
-        """Push one framed blob; ``True`` when the peer stored it."""
-        conn = HTTPConnection(self.host, self.port, timeout=self.timeout)
-        try:
-            conn.request(
-                "PUT",
-                f"/v1/cache/{key}",
-                body=blob,
-                headers=self._headers(
-                    **{"Content-Type": "application/octet-stream"}
-                ),
-            )
-            response = conn.getresponse()
-            response.read()
-            return response.status == 200
-        except OSError:
-            return False
-        finally:
-            conn.close()
+def _peer_client(addr: str, timeout: float) -> ServiceClient:
+    """A client for one sibling replica at ``host:port``."""
+    host, _, port = addr.rpartition(":")
+    if not host or not port.isdigit():
+        raise ValueError(f"peer address must be host:port, got {addr!r}")
+    return ServiceClient(host, int(port), timeout=timeout)
 
 
 class PeerResultCache:
@@ -137,11 +84,9 @@ class PeerResultCache:
         secret: str | None = None,
     ):
         self.local = local
-        self.secret = secret
-        self.clients = [
-            PeerCacheClient(p, timeout=timeout, secret=secret)
-            for p in peers
-        ]
+        self.timeout = timeout
+        self.secret = secret or None
+        self.clients = [_peer_client(p, timeout) for p in peers]
         self.peer_hits = 0
         self.peer_misses = 0
         self.peer_corrupt = 0
@@ -165,9 +110,17 @@ class PeerResultCache:
 
     def _fetch_from_peers(self, key: str) -> Any | None:
         for client in self.clients:
-            blob = client.get_blob(key)
-            if blob is None:
+            try:
+                response = client.cache_get(key, secret=self.secret)
+            except (OSError, HTTPException):
+                self.peer_errors += 1
                 continue
+            if response.status == 404:
+                continue
+            if response.status != 200:
+                self.peer_errors += 1
+                continue
+            blob = response.body
             body = unframe_blob(blob)
             if body is None:
                 # truncated transfer or a lying peer: count, keep going
@@ -203,11 +156,13 @@ class PeerResultCache:
         if blob is None:
             return False
         try:
-            client = PeerCacheClient(addr, timeout=2.0, secret=self.secret)
-        except ValueError:
+            response = _peer_client(addr, self.timeout).cache_put(
+                key, blob, secret=self.secret
+            )
+        except (ValueError, OSError, HTTPException):
             self.peer_errors += 1
             return False
-        if client.put_blob(key, blob):
+        if response.status == 200:
             self.peer_pushes += 1
             return True
         self.peer_errors += 1

@@ -38,18 +38,19 @@ from __future__ import annotations
 import asyncio
 import bisect
 import contextlib
+import functools
 import hashlib
 import json
 import logging
 import re
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.service import routes as _routes
-from repro.service.app import _REASONS, ServiceConfig
-from repro.service.errors import NotFound, ServiceError, ValidationError
+from repro.service.app import ServiceConfig
+from repro.service.client import LoopThread
+from repro.service.errors import NotFound, ServiceError
 from repro.service.metrics import MetricsRegistry, merge_expositions
 from repro.service.routes import (
     FORWARDED_FROM_HEADER,
@@ -232,7 +233,13 @@ class FrontRouter:
     # ------------------------------------------------------------------
     async def start(self) -> int:
         self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
+            functools.partial(
+                _routes.serve_connection,
+                handle=self._handle,
+                tasks=self._conn_tasks,
+                keep_alive=lambda: True,
+            ),
+            self.config.host, self.config.port,
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._started = time.time()
@@ -585,8 +592,21 @@ class FrontRouter:
         )
 
     # ------------------------------------------------------------------
-    # Connection handling
+    # HTTP handler
     # ------------------------------------------------------------------
+    async def _handle(self, request: HttpRequest) -> Response:
+        start = time.perf_counter()
+        response, route = await self._dispatch(request)
+        self.requests_total.inc(route=route, status=str(response.status))
+        log.info(
+            "rid=%s %s %s -> %d via %s in %.1f ms",
+            request.request_id, request.method, request.path,
+            response.status,
+            response.headers.get("X-Repro-Replica", "router"),
+            (time.perf_counter() - start) * 1e3,
+        )
+        return response
+
     async def _dispatch(self, request: HttpRequest) -> tuple[Response, str]:
         if request.method == "GET" and request.path == "/healthz":
             return await self._fleet_healthz(), "healthz"
@@ -624,88 +644,8 @@ class FrontRouter:
             extra = {FORWARDED_FROM_HEADER: owner_addr}
         return await self._proxy(target, request, extra), "proxy"
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        assert task is not None
-        self._conn_tasks.add(task)
-        try:
-            while True:
-                try:
-                    request = await _routes.read_http_request(reader)
-                except ValidationError as err:
-                    await self._write_response(
-                        writer, None, error_response(err), False
-                    )
-                    break
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                except (asyncio.LimitOverrunError, ValueError):
-                    # oversized header line or similar framing garbage:
-                    # answer 400 instead of dropping the connection
-                    # with an unhandled-task traceback
-                    await self._write_response(
-                        writer, None,
-                        error_response(
-                            ValidationError("malformed request framing")
-                        ),
-                        False,
-                    )
-                    break
-                if request is None:
-                    break
-                start = time.perf_counter()
-                response, route = await self._dispatch(request)
-                self.requests_total.inc(
-                    route=route, status=str(response.status)
-                )
-                log.info(
-                    "rid=%s %s %s -> %d via %s in %.1f ms",
-                    request.request_id, request.method, request.path,
-                    response.status,
-                    response.headers.get("X-Repro-Replica", "router"),
-                    (time.perf_counter() - start) * 1e3,
-                )
-                wants_close = (
-                    request.headers.get("connection", "").lower() == "close"
-                )
-                await self._write_response(
-                    writer, request, response, not wants_close
-                )
-                if wants_close:
-                    break
-        except asyncio.CancelledError:
-            pass
-        except ConnectionError:
-            pass
-        finally:
-            self._conn_tasks.discard(task)
-            writer.close()
-            with contextlib.suppress(ConnectionError, OSError):
-                await writer.wait_closed()
 
-    async def _write_response(
-        self, writer: asyncio.StreamWriter, request: HttpRequest | None,
-        response: Response, keep_alive: bool,
-    ) -> None:
-        reason = _REASONS.get(response.status, "Unknown")
-        headers = {
-            "Content-Type": response.content_type,
-            "Content-Length": str(len(response.body)),
-            "Connection": "keep-alive" if keep_alive else "close",
-            **response.headers,
-        }
-        if request is not None:
-            headers.setdefault("X-Request-Id", request.request_id)
-        head = [f"HTTP/1.1 {response.status} {reason}"]
-        head += [f"{k}: {v}" for k, v in headers.items()]
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode())
-        writer.write(response.body)
-        await writer.drain()
-
-
-class RouterThread:
+class RouterThread(LoopThread):
     """Run a :class:`FrontRouter` on a daemon thread (context manager).
 
     The fleet-testing sibling of
@@ -714,77 +654,12 @@ class RouterThread:
     thread.
     """
 
+    role = "router"
+
     def __init__(
         self,
         config: RouterConfig,
         extra_metrics: Callable[[], str] | None = None,
     ):
         self.router = FrontRouter(config, extra_metrics=extra_metrics)
-        self._thread: threading.Thread | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
-
-    @property
-    def port(self) -> int:
-        assert self.router.port is not None, "router not started"
-        return self.router.port
-
-    @property
-    def client(self):
-        from repro.service.client import ServiceClient
-
-        return ServiceClient(self.router.config.host, self.port)
-
-    def start(self) -> RouterThread:
-        self._thread = threading.Thread(
-            target=self._run, name="repro-router", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=30):
-            raise RuntimeError("router failed to start within 30s")
-        if self._startup_error is not None:
-            raise RuntimeError("router failed to start") \
-                from self._startup_error
-        return self
-
-    def _run(self) -> None:
-        self._loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(self._loop)
-
-        async def main() -> None:
-            self._stop = asyncio.Event()
-            try:
-                await self.router.start()
-            except BaseException as exc:
-                self._startup_error = exc
-                self._ready.set()
-                raise
-            self._ready.set()
-            await self._stop.wait()
-            await self.router.stop()
-
-        try:
-            self._loop.run_until_complete(main())
-        except BaseException:
-            pass  # startup errors re-raise on the calling thread
-        finally:
-            self._loop.close()
-
-    def stop(self) -> None:
-        if (
-            self._loop is not None
-            and self._stop is not None
-            and not self._loop.is_closed()
-        ):
-            with contextlib.suppress(RuntimeError):
-                self._loop.call_soon_threadsafe(self._stop.set)
-        if self._thread is not None:
-            self._thread.join(timeout=60)
-
-    def __enter__(self) -> RouterThread:
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.stop()
+        super().__init__(self.router, self.router.stop)

@@ -1,4 +1,12 @@
-"""HTTP surface of the simulation service: types, validation, handlers.
+"""HTTP surface of the simulation service: wire, validation, handlers.
+
+The wire half is the one HTTP/1.1 runtime of the replica
+(:mod:`repro.service.app`) and the front router
+(:mod:`repro.service.router`): :func:`read_http_request` parses a
+request, :func:`write_response` frames a reply and
+:func:`serve_connection` runs one keep-alive connection, so both
+servers answer malformed framing the same way and differ only in their
+request handler.
 
 Request lifecycle for the compute endpoints::
 
@@ -19,8 +27,11 @@ the contract the round-trip tests pin.
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
 import json
 import re
+from collections.abc import Awaitable, Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -42,6 +53,8 @@ __all__ = [
     "json_response",
     "match_route",
     "read_http_request",
+    "serve_connection",
+    "write_response",
 ]
 
 #: Cap accepted request bodies (a platform dict is < 1 KiB; 1 MiB is
@@ -75,6 +88,14 @@ _EXPERIMENT_KEYS = {
 }
 _ITERATION_RANGE = (1, 10_000)
 
+#: Reason phrases for every status the replica and the router send.
+_REASONS = {
+    200: "OK", 202: "Accepted", 400: "Bad Request", 403: "Forbidden",
+    404: "Not Found", 405: "Method Not Allowed", 413: "Payload Too Large",
+    429: "Too Many Requests", 500: "Internal Server Error",
+    502: "Bad Gateway", 503: "Service Unavailable",
+}
+
 
 @dataclass
 class HttpRequest:
@@ -92,7 +113,7 @@ class HttpRequest:
             return {}
         try:
             data = json.loads(self.body)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValidationError(f"body is not valid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ValidationError(
@@ -125,13 +146,13 @@ def error_response(err: ServiceError) -> Response:
 async def read_http_request(reader) -> HttpRequest | None:
     """Parse one HTTP/1.1 request off an asyncio stream.
 
-    Shared by the replica server (:mod:`repro.service.app`) and the
-    front router (:mod:`repro.service.router`), so both enforce the
-    same body-size cap and produce identical :class:`HttpRequest`
-    objects.  Returns ``None`` on clean EOF; raises
-    :class:`ValidationError` (status 400, or 413 for oversized bodies)
-    on malformed input.  May raise ``asyncio.IncompleteReadError`` /
-    ``ConnectionError`` on a mid-request disconnect.
+    Returns ``None`` on clean EOF; raises :class:`ValidationError`
+    (status 400, or 413 for oversized bodies) on malformed input.
+    ``Content-Length`` must be ASCII digits (RFC 9110), not whatever
+    ``int()`` accepts (``+5``, ``1_0``).  May raise
+    ``asyncio.IncompleteReadError`` / ``ConnectionError`` on a
+    mid-request disconnect, and ``ValueError`` for a line over the
+    stream's limit.
     """
     import os
 
@@ -150,14 +171,9 @@ async def read_http_request(reader) -> HttpRequest | None:
         name, _, value = raw.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
     length_text = headers.get("content-length", "0") or "0"
-    try:
-        length = int(length_text)
-    except ValueError:
-        raise ValidationError(
-            f"bad Content-Length {length_text!r}"
-        ) from None
-    if length < 0:
+    if not (length_text.isascii() and length_text.isdigit()):
         raise ValidationError(f"bad Content-Length {length_text!r}")
+    length = int(length_text)
     if length > MAX_BODY_BYTES:
         err = ValidationError(
             f"body of {length} bytes exceeds the "
@@ -174,6 +190,86 @@ async def read_http_request(reader) -> HttpRequest | None:
         body=body,
         request_id=request_id,
     )
+
+
+async def write_response(
+    writer: asyncio.StreamWriter, request: HttpRequest | None,
+    response: Response, keep_alive: bool,
+) -> None:
+    """Frame one response; echoes the request id when there is one."""
+    reason = _REASONS.get(response.status, "Unknown")
+    headers = {
+        "Content-Type": response.content_type,
+        "Content-Length": str(len(response.body)),
+        "Connection": "keep-alive" if keep_alive else "close",
+        **response.headers,
+    }
+    if request is not None:
+        headers.setdefault("X-Request-Id", request.request_id)
+    head = [f"HTTP/1.1 {response.status} {reason}"]
+    head += [f"{k}: {v}" for k, v in headers.items()]
+    writer.write(("\r\n".join(head) + "\r\n\r\n").encode())
+    writer.write(response.body)
+    await writer.drain()
+
+
+async def serve_connection(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    handle: Callable[[HttpRequest], Awaitable[Response]],
+    tasks: set[asyncio.Task],
+    keep_alive: Callable[[], bool],
+) -> None:
+    """Serve requests off one connection until either side closes it.
+
+    ``handle`` answers one request.  ``keep_alive()`` is asked after
+    each response whether the server still keeps connections open (a
+    client's ``Connection: close`` ends it regardless).  Malformed
+    framing gets a 400 (413 for an oversized body) and closes the
+    connection; a request cut short closes it without a reply.  The
+    connection's task sits in ``tasks`` while it runs, so shutdown can
+    cancel idle keep-alive readers.
+    """
+    task = asyncio.current_task()
+    assert task is not None
+    tasks.add(task)
+    try:
+        while True:
+            try:
+                request = await read_http_request(reader)
+            except ValidationError as err:
+                await write_response(writer, None, error_response(err), False)
+                break
+            except (asyncio.IncompleteReadError, ConnectionError):
+                break
+            except (asyncio.LimitOverrunError, ValueError):
+                # a line over the stream's 64 KiB limit: answer 400,
+                # not an unhandled-task traceback
+                await write_response(
+                    writer, None,
+                    error_response(
+                        ValidationError("malformed request framing")
+                    ),
+                    False,
+                )
+                break
+            if request is None:
+                break
+            response = await handle(request)
+            keep = (
+                request.headers.get("connection", "").lower() != "close"
+                and keep_alive()
+            )
+            await write_response(writer, request, response, keep)
+            if not keep:
+                break
+    except (asyncio.CancelledError, ConnectionError):
+        pass  # shutdown cancels idle keep-alive readers
+    finally:
+        tasks.discard(task)
+        writer.close()
+        with contextlib.suppress(ConnectionError, OSError):
+            await writer.wait_closed()
 
 
 # ----------------------------------------------------------------------

@@ -45,13 +45,12 @@ import signal
 import socket
 import subprocess
 import sys
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
 
-from repro.service.app import ServiceConfig
+from repro.service.app import ServiceConfig, run_until_signalled
+from repro.service.client import LoopThread
 from repro.service.router import FrontRouter, RouterConfig
 
 __all__ = ["FleetConfig", "FleetThread", "ReplicaProcess", "Supervisor"]
@@ -351,19 +350,10 @@ class Supervisor:
 
     async def run(self) -> int:
         """CLI entry: serve until SIGTERM/SIGINT, then drain the fleet."""
-        await self.start()
-        loop = asyncio.get_running_loop()
-        stop = asyncio.Event()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            with contextlib.suppress(NotImplementedError):
-                loop.add_signal_handler(sig, stop.set)
-        await stop.wait()
-        log.info("shutdown signal received; draining fleet")
-        await self.drain()
-        return 0
+        return await run_until_signalled(self.start, self.drain)
 
 
-class FleetThread:
+class FleetThread(LoopThread):
     """Run a :class:`Supervisor` on a daemon thread (context manager).
 
     The subprocess-spawning sibling of the in-process harnesses:
@@ -371,35 +361,16 @@ class FleetThread:
     replica, so tests can issue traffic immediately.
     """
 
+    role = "fleet"
+    start_timeout = 60.0
+    stop_timeout = 180.0
+
     def __init__(self, config: FleetConfig):
         self.supervisor = Supervisor(config)
-        self._thread: threading.Thread | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
-
-    @property
-    def port(self) -> int:
-        assert self.supervisor.port is not None, "fleet not started"
-        return self.supervisor.port
-
-    @property
-    def client(self):
-        from repro.service.client import ServiceClient
-
-        return ServiceClient(self.supervisor.config.host, self.port)
+        super().__init__(self.supervisor, self.supervisor.drain)
 
     def start(self, ready_timeout: float = 120.0) -> FleetThread:
-        self._thread = threading.Thread(
-            target=self._run, name="repro-fleet", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=60):
-            raise RuntimeError("fleet failed to start within 60s")
-        if self._startup_error is not None:
-            raise RuntimeError("fleet failed to start") \
-                from self._startup_error
+        super().start()
         deadline = time.monotonic() + ready_timeout
         while time.monotonic() < deadline:
             if self.supervisor.router.any_ready:
@@ -407,43 +378,3 @@ class FleetThread:
             time.sleep(0.05)
         self.stop()
         raise RuntimeError("no replica became ready in time")
-
-    def _run(self) -> None:
-        self._loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(self._loop)
-
-        async def main() -> None:
-            self._stop = asyncio.Event()
-            try:
-                await self.supervisor.start()
-            except BaseException as exc:
-                self._startup_error = exc
-                self._ready.set()
-                raise
-            self._ready.set()
-            await self._stop.wait()
-            await self.supervisor.drain()
-
-        try:
-            self._loop.run_until_complete(main())
-        except BaseException:
-            pass  # startup errors re-raise on the calling thread
-        finally:
-            self._loop.close()
-
-    def stop(self) -> None:
-        if (
-            self._loop is not None
-            and self._stop is not None
-            and not self._loop.is_closed()
-        ):
-            with contextlib.suppress(RuntimeError):
-                self._loop.call_soon_threadsafe(self._stop.set)
-        if self._thread is not None:
-            self._thread.join(timeout=180)
-
-    def __enter__(self) -> FleetThread:
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.stop()

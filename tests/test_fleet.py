@@ -20,6 +20,7 @@ import pytest
 
 from repro.experiments.cache import ResultCache, cache_key, frame_blob
 from repro.service import RouterConfig, RouterThread, ServiceConfig, ServiceThread
+from repro.service.client import ServiceResponse
 from repro.service.metrics import inject_label, merge_expositions
 from repro.service.peercache import PeerResultCache, valid_cache_key
 from repro.service.router import HashRing
@@ -178,12 +179,15 @@ class _StubClient:
         self.blobs = blobs
         self.put = {}
 
-    def get_blob(self, key):
-        return self.blobs.get(key)
+    def cache_get(self, key, secret=None):
+        blob = self.blobs.get(key)
+        if blob is None:
+            return ServiceResponse(404)
+        return ServiceResponse(200, body=blob)
 
-    def put_blob(self, key, blob):
+    def cache_put(self, key, blob, secret=None):
         self.put[key] = blob
-        return True
+        return ServiceResponse(200)
 
 
 class TestPeerResultCache:
@@ -246,6 +250,8 @@ class TestPeerResultCache:
         peer = PeerResultCache(local, ["127.0.0.1:1"], timeout=0.2)
         value, source = peer.fetch("report", {"x": 5})
         assert (value, source) == (None, None)
+        assert peer.peer_errors == 1
+        assert peer.peer_misses == 1
 
 
 # ----------------------------------------------------------------------
@@ -342,64 +348,6 @@ class TestCacheEndpointGating:
                 key, blob, secret=SECRET
             ).status == 404
             assert fleet.client.cache_get(key).status == 404
-
-
-# ----------------------------------------------------------------------
-# Malformed HTTP framing (raw sockets; http.client refuses to send it)
-# ----------------------------------------------------------------------
-
-def _raw_http(port: int, data: bytes, timeout: float = 15.0) -> bytes:
-    """One raw request/response exchange against 127.0.0.1:port."""
-    with socket.create_connection(("127.0.0.1", port), timeout) as sock:
-        sock.sendall(data)
-        chunks = []
-        while True:
-            try:
-                chunk = sock.recv(65536)
-            except (ConnectionResetError, socket.timeout):
-                break
-            if not chunk:
-                break
-            chunks.append(chunk)
-        return b"".join(chunks)
-
-
-_NEGATIVE_LENGTH = (
-    b"POST /v1/balance HTTP/1.1\r\n"
-    b"Host: t\r\n"
-    b"Content-Length: -5\r\n\r\n"
-)
-#: One header line past asyncio's 64 KiB readline limit, which used to
-#: surface as an unhandled ValueError instead of a 400.
-_OVERSIZED_HEADER = (
-    b"GET /healthz HTTP/1.1\r\n"
-    b"Host: t\r\n"
-    b"X-Big: " + b"a" * 70_000 + b"\r\n\r\n"
-)
-
-
-class TestRequestFraming:
-    def test_replica_answers_negative_content_length_with_400(
-        self, tmp_path
-    ):
-        config = ServiceConfig(port=0, cache_dir=str(tmp_path / "c"))
-        with ServiceThread(config, executor=ThreadPoolExecutor(2)) as svc:
-            raw = _raw_http(svc.port, _NEGATIVE_LENGTH)
-            assert raw.startswith(b"HTTP/1.1 400 ")
-            assert b"invalid-request" in raw
-
-    def test_replica_answers_oversized_header_with_400(self, tmp_path):
-        config = ServiceConfig(port=0, cache_dir=str(tmp_path / "c"))
-        with ServiceThread(config, executor=ThreadPoolExecutor(2)) as svc:
-            raw = _raw_http(svc.port, _OVERSIZED_HEADER)
-            assert raw.startswith(b"HTTP/1.1 400 ")
-
-    def test_router_answers_bad_framing_with_400(self, tmp_path):
-        with Fleet(tmp_path, 1) as fleet:
-            raw = _raw_http(fleet.router.port, _NEGATIVE_LENGTH)
-            assert raw.startswith(b"HTTP/1.1 400 ")
-            raw = _raw_http(fleet.router.port, _OVERSIZED_HEADER)
-            assert raw.startswith(b"HTTP/1.1 400 ")
 
 
 # ----------------------------------------------------------------------

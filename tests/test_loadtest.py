@@ -16,7 +16,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from benchmarks import loadtest
 from benchmarks.loadtest import (
+    OPEN_LOOP_SENDERS,
     LoadReport,
     RequestMix,
     Stage,
@@ -47,6 +49,15 @@ class _StubHandler(BaseHTTPRequestHandler):
 
     def log_message(self, *args):  # silence per-request stderr noise
         pass
+
+
+class _CountingHandler(_StubHandler):
+    """Counts the connections the stub accepts (one setup each)."""
+
+    def setup(self):
+        with self.server.lock:  # type: ignore[attr-defined]
+            self.server.connections += 1  # type: ignore[attr-defined]
+        super().setup()
 
 
 class _RejectingHandler(_StubHandler):
@@ -222,6 +233,41 @@ class TestDrivers:
         lateness = report.to_json()["lateness_ms"]
         assert lateness["max"] >= 200.0 and lateness["p99"] >= 200.0
         assert "sent late" in report.render()
+
+    def test_open_loop_runs_on_a_fixed_sender_pool(self, monkeypatch):
+        server = ThreadingHTTPServer(("127.0.0.1", 0), _CountingHandler)
+        server.seen, server.connections = [], 0  # type: ignore[attr-defined]
+        server.lock = threading.Lock()  # type: ignore[attr-defined]
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        started = []
+
+        class CountingThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        class Threading:
+            """The threading module as loadtest sees it, counting starts."""
+
+            Thread = CountingThread
+
+            def __getattr__(self, name):
+                return getattr(threading, name)
+
+        monkeypatch.setattr(loadtest, "threading", Threading())
+        try:
+            report = run_open_loop(_url(server), [Stage(1.0, 200.0)], seed=5)
+        finally:
+            monkeypatch.undo()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert report.requests == report.ok == 200
+        assert len(server.seen) == 200
+        assert 0 < len(started) <= OPEN_LOOP_SENDERS < 200
+        assert server.connections <= OPEN_LOOP_SENDERS
 
     def test_open_loop_counts_unreachable_as_errors(self):
         # nothing listens here: every arrival is an error, not a crash
